@@ -3,7 +3,8 @@
 Subcommands: build-vocab, tokenize, mask, guide, leakage, vocab-stats,
 cull, benchstats. Exit codes: 0 ok, 1 usage error, 2 data error,
 3 constraint violation. ``DNAPREP_SEED`` and ``DNAPREP_THREADS``
-override the corresponding flags when those are left at their defaults.
+override the corresponding flags when those are left at their defaults;
+a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from . import __version__
 from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
 from .core import BPE, KMER, WORD, Vocabulary, build_kmer_vocab
-from .errors import ConfigError, DnaPrepError
+from .errors import ConfigError, DataError, DnaPrepError
 from .fasta import read_fasta
 from .guiding import GUIDING_TASKS
 from .leakage import empirical_plan_leakage, leakage_report
@@ -47,7 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
@@ -199,16 +205,32 @@ def _cmd_leakage(args) -> int:
 
 
 def _plan_from_record(record: dict) -> MaskPlan:
+    """A fixed-mode plan holding a batch record's targets ``m``, all the leakage report reads.
+
+    Every position the record names in ``m``, ``m_in`` and ``labels``
+    must be an index of its ``input_ids``.
+    """
     import numpy as np
 
     ids = np.asarray(record["input_ids"], dtype=np.int64)
+    labeled = [int(pos) for pos in record["labels"]]
+    for name, positions in (("m", record["m"]), ("m_in", record["m_in"]), ("labels", labeled)):
+        for pos in positions:
+            if type(pos) is not int or not 0 <= pos < ids.size:
+                raise DataError(
+                    f"record {record.get('seq_id')!r}: {name} position {pos!r} "
+                    f"is not an index of its {ids.size} input ids"
+                )
+    target_mask = np.zeros(ids.size, dtype=bool)
+    target_mask[record["m"]] = True
+    empty = np.zeros(ids.size, dtype=bool)
     return MaskPlan(
         input_ids=ids,
-        m_positions=tuple(record["m"]),
-        m_in_positions=tuple(record["m_in"]),
-        labels={int(k): v for k, v in record["labels"].items()},
         original_ids=ids,
-        special_positions=frozenset(),
+        target_mask=target_mask,
+        in_mask=empty,
+        label_mask=empty,
+        special_mask=empty,
     )
 
 

@@ -115,6 +115,7 @@ class Vocabulary:
 
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _kmer_value_lut: object = field(init=False, repr=False, compare=False, default=None)
+    _rc_label_lut: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in VOCAB_KINDS:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Vocabulary
 from .errors import ConfigError
-from .masking import MODE_FIXED, MaskPlan
+from .masking import MODE_FIXED, MaskPlan, special_mask
 
 TASK_FTM = "ftm"
 TASK_MST = "mst"
@@ -38,11 +38,24 @@ LABEL_SPACE_BINARY = "binary"
 
 @dataclass
 class GuidingTargets:
+    """One guiding task's labeled positions (ascending) and their labels.
+
+    ``positions`` and ``labels`` are read-only tuple and dict views of the
+    two arrays, built on each access.
+    """
+
     task: str
-    positions: tuple[int, ...]
-    labels: dict[int, int] | None
-    label: int | None
+    position_array: np.ndarray
+    label_array: np.ndarray
     label_space: str
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return tuple(self.position_array.tolist())
+
+    @property
+    def labels(self) -> dict[int, int]:
+        return dict(zip(self.position_array.tolist(), self.label_array.tolist()))
 
 
 def ftm_targets(plan: MaskPlan) -> GuidingTargets:
@@ -51,14 +64,8 @@ def ftm_targets(plan: MaskPlan) -> GuidingTargets:
         raise ConfigError("FTM targets are defined for fixed-mode plans only")
     if plan.k < 2:
         raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
-    positions = tuple(sorted(set(plan.m_in_positions) - set(plan.m_positions)))
-    return GuidingTargets(
-        task=TASK_FTM,
-        positions=positions,
-        labels={p: int(plan.original_ids[p]) for p in positions},
-        label=None,
-        label_space=LABEL_SPACE_V,
-    )
+    positions = np.flatnonzero(plan.in_mask & ~plan.target_mask)
+    return GuidingTargets(TASK_FTM, positions, plan.original_ids[positions], LABEL_SPACE_V)
 
 
 def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
@@ -68,18 +75,10 @@ def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
     special tokens yields empty targets.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    positions = tuple(sorted(plan.special_positions))
+    positions = np.flatnonzero(plan.special_mask)
     updated = plan.input_ids.copy()
-    for pos in positions:
-        updated[pos] = plan.mask_id
-    targets = GuidingTargets(
-        task=TASK_MST,
-        positions=positions,
-        labels={p: int(tokens[p]) for p in positions},
-        label=None,
-        label_space=LABEL_SPACE_V,
-    )
-    return updated, targets
+    updated[positions] = plan.mask_id
+    return updated, GuidingTargets(TASK_MST, positions, tokens[positions], LABEL_SPACE_V)
 
 
 def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> tuple[np.ndarray, int]:
@@ -93,10 +92,7 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
         raise ConfigError(f"reverse_prob must be in [0, 1], got {reverse_prob}")
     tokens = np.asarray(tokens, dtype=np.int64)
     out = tokens.copy()
-    if special_ids:
-        body = np.flatnonzero(~np.isin(tokens, np.fromiter(special_ids, dtype=np.int64)))
-    else:
-        body = np.arange(tokens.size)
+    body = np.flatnonzero(~special_mask(tokens, special_ids))
     if body.size < 2 or rng.random() >= reverse_prob:
         return out, 0
     half = body.size // 2
@@ -105,15 +101,29 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
     return out, 1
 
 
+def rc_label_lut(vocab: Vocabulary) -> np.ndarray:
+    """``vocab.rc_label(i)`` for every id, -1 where it raises (special ids, missing complements).
+
+    Built on first use and kept on the vocabulary.
+    """
+    if vocab._rc_label_lut is None:
+        lut = np.full(len(vocab), -1, dtype=np.int64)
+        for token_id in range(vocab.n_nonspecial):
+            try:
+                lut[token_id] = vocab.rc_label(token_id)
+            except ValueError:
+                pass
+        lut.flags.writeable = False
+        vocab._rc_label_lut = lut
+    return vocab._rc_label_lut
+
+
 def csp_targets(plan: MaskPlan, vocab: Vocabulary) -> GuidingTargets:
     """Label every strictly unmasked non-special position with its RC token."""
-    n = plan.input_ids.size
-    excluded = set(plan.m_in_positions) | plan.special_positions
-    positions = tuple(p for p in range(n) if p not in excluded)
-    return GuidingTargets(
-        task=TASK_CSP,
-        positions=positions,
-        labels={p: vocab.rc_label(int(plan.original_ids[p])) for p in positions},
-        label=None,
-        label_space=LABEL_SPACE_RC,
-    )
+    positions = np.flatnonzero(~(plan.in_mask | plan.special_mask))
+    originals = plan.original_ids[positions]
+    labels = rc_label_lut(vocab)[originals]
+    missing = labels < 0
+    if missing.any():
+        vocab.rc_label(int(originals[missing][0]))  # raises: no complement and no [CULL]
+    return GuidingTargets(TASK_CSP, positions, labels, LABEL_SPACE_RC)

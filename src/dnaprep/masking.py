@@ -18,6 +18,7 @@ byte-identical regardless of how many worker threads produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,44 +71,79 @@ class MaskConfig:
 
 @dataclass
 class MaskPlan:
-    """One sequence's masking outcome.
+    """One sequence's masking outcome, as boolean masks over its positions.
 
-    ``m_positions`` are the prediction targets selected first;
-    ``m_in_positions`` is the (larger) set recorded as input-masked after
-    neighbor expansion. ``labels`` maps every labeled position to the
-    original token id: the key set equals ``m_positions`` in fixed mode
-    and ``m_in_positions`` in flawed mode (that equality is the historical
-    bug). In fixed mode, and in flawed mode with k >= 2, every position in
-    ``m_in_positions`` carries MASK in ``input_ids``; flawed mode with
-    k = 1 replicates the printed loop exactly, which leaves the selected
-    target itself unmasked.
+    ``target_mask`` marks the prediction targets selected first;
+    ``in_mask`` the (larger) input-masked set after neighbor expansion.
+    ``label_mask`` marks every labeled position, whose label is its
+    ``original_ids`` entry: it equals ``target_mask`` in fixed mode and
+    ``in_mask`` in flawed mode (that equality is the historical bug). In
+    fixed mode, and in flawed mode with k >= 2, every position of
+    ``in_mask`` carries MASK in ``input_ids``; flawed mode with k = 1
+    replicates the printed loop exactly, which leaves the selected target
+    itself unmasked. ``special_mask`` marks the special tokens.
+
+    ``m_positions``, ``m_in_positions``, ``labels`` and
+    ``special_positions`` are read-only views of the masks as Python
+    tuples, dicts and sets, built on each access.
     """
 
     input_ids: np.ndarray
-    m_positions: tuple[int, ...]
-    m_in_positions: tuple[int, ...]
-    labels: dict[int, int]
     original_ids: np.ndarray = field(repr=False)
-    special_positions: frozenset[int] = field(repr=False)
+    target_mask: np.ndarray = field(repr=False)
+    in_mask: np.ndarray = field(repr=False)
+    label_mask: np.ndarray = field(repr=False)
+    special_mask: np.ndarray = field(repr=False)
     mode: str = MODE_FIXED
     k: int = 1
     mask_id: int = -1
 
+    @property
+    def m_positions(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.target_mask).tolist())
 
-def _special_mask(tokens: np.ndarray, cfg: MaskConfig) -> np.ndarray:
-    if not cfg.special_ids:
-        return np.zeros(tokens.size, dtype=bool)
-    return np.isin(tokens, np.fromiter(cfg.special_ids, dtype=np.int64))
+    @property
+    def m_in_positions(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.in_mask).tolist())
+
+    @property
+    def labels(self) -> dict[int, int]:
+        positions = np.flatnonzero(self.label_mask)
+        return dict(zip(positions.tolist(), self.original_ids[positions].tolist()))
+
+    @property
+    def special_positions(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.special_mask).tolist())
 
 
-def _cover(n: int, centers: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Boolean array marking positions within [c+lo, c+hi] of any center."""
-    hits = np.zeros(n + 1, dtype=np.int64)
-    starts = np.clip(centers + lo, 0, n)
-    stops = np.clip(centers + hi + 1, 0, n)
-    np.add.at(hits, starts, 1)
-    np.add.at(hits, stops, -1)
-    return np.cumsum(hits[:n]) > 0
+@lru_cache(maxsize=16)
+def _special_lut(special_ids: frozenset[int]) -> np.ndarray:
+    lut = np.zeros(max(special_ids, default=-1) + 2, dtype=bool)
+    lut[list(special_ids)] = True
+    lut.flags.writeable = False
+    return lut
+
+
+def special_mask(tokens: np.ndarray, special_ids) -> np.ndarray:
+    """Boolean mask of the positions holding one of ``special_ids``.
+
+    One gather from a lookup table indexed by token id; ids above the
+    largest special id clip to the table's final, False entry.
+    """
+    return _special_lut(frozenset(special_ids)).take(tokens, mode="clip")
+
+
+def _cover(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Positions within [c+lo, c+hi] of any position c set in ``mask``."""
+    if not mask.size:
+        return mask.copy()
+    # hits[j] is set when some c in [j - (hi - lo), j] is set; i needs c in [i - hi, i - lo]
+    hits = np.convolve(mask, np.ones(hi - lo + 1, dtype=bool))
+    start = -lo
+    if start < 0:
+        hits = np.concatenate((np.zeros(-start, dtype=bool), hits))
+        start = 0
+    return hits[start : start + mask.size]
 
 
 def select_targets(tokens, cfg: MaskConfig, seq_ordinal: int) -> np.ndarray:
@@ -116,44 +152,40 @@ def select_targets(tokens, cfg: MaskConfig, seq_ordinal: int) -> np.ndarray:
     The RNG stream is derived from (master_seed, seq_ordinal), so the
     same sequence at the same ordinal always draws the same targets.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     rng = np.random.default_rng((cfg.master_seed, seq_ordinal))
     draws = rng.random(tokens.size)
-    picked = (draws < cfg.p) & ~_special_mask(tokens, cfg)
+    picked = (draws < cfg.p) & ~special_mask(tokens, cfg.special_ids)
     return np.flatnonzero(picked)
 
 
 def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
     """Expand targets to their overlap neighborhood and build the plan."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    n = tokens.size
-    special = _special_mask(tokens, cfg)
-    centers = np.asarray(sorted(int(p) for p in m_positions), dtype=np.int64)
-    centers = centers[~special[centers]] if centers.size else centers
+    special = special_mask(tokens, cfg.special_ids)
+    target = np.zeros(tokens.size, dtype=bool)
+    target[np.asarray(m_positions, dtype=np.intp)] = True
+    target &= ~special
     k = cfg.k
 
     if cfg.mode == MODE_FIXED:
-        in_mask = _cover(n, centers, -(k - 1), k - 1) & ~special if centers.size else np.zeros(n, dtype=bool)
+        in_mask = _cover(target, -(k - 1), k - 1) & ~special
         masked = in_mask
-        label_positions = centers
+        label_mask = target
     else:
-        lo = 1 - k // 2
-        hi = k - k // 2
-        masked = _cover(n, centers, lo, hi) if centers.size else np.zeros(n, dtype=bool)
-        in_mask = masked.copy()
-        in_mask[centers] = True  # the algorithm seeds M_in with M itself
-        label_positions = np.flatnonzero(in_mask)
+        masked = _cover(target, 1 - k // 2, k - k // 2)
+        in_mask = masked | target  # the algorithm seeds M_in with M itself
+        label_mask = in_mask
 
     input_ids = tokens.copy()
     input_ids[masked] = cfg.mask_id
-    m_in = np.flatnonzero(in_mask)
     return MaskPlan(
         input_ids=input_ids,
-        m_positions=tuple(int(p) for p in centers),
-        m_in_positions=tuple(int(p) for p in m_in),
-        labels={int(p): int(tokens[p]) for p in label_positions},
         original_ids=tokens,
-        special_positions=frozenset(int(p) for p in np.flatnonzero(special)),
+        target_mask=target,
+        in_mask=in_mask,
+        label_mask=label_mask,
+        special_mask=special,
         mode=cfg.mode,
         k=k,
         mask_id=cfg.mask_id,
@@ -167,17 +199,7 @@ def verify_no_leakage(plan: MaskPlan, k: int) -> bool:
     labeled target is input-masked, and (fixed mode) no labeled position
     lies outside the selected target set.
     """
-    targets = np.asarray(sorted(plan.labels), dtype=np.int64)
-    if plan.mode == MODE_FIXED and not set(plan.labels) <= set(plan.m_positions):
+    if plan.mode == MODE_FIXED and (plan.label_mask & ~plan.target_mask).any():
         return False
-    if targets.size == 0:
-        return True
-    n = plan.input_ids.size
-    needed = _cover(n, targets, -(k - 1), k - 1)
-    special = np.zeros(n, dtype=bool)
-    if plan.special_positions:
-        special[np.fromiter(plan.special_positions, dtype=np.int64)] = True
-    in_mask = np.zeros(n, dtype=bool)
-    if plan.m_in_positions:
-        in_mask[np.asarray(plan.m_in_positions, dtype=np.int64)] = True
-    return bool(np.all(~needed | special | in_mask))
+    needed = _cover(plan.label_mask, -(k - 1), k - 1)
+    return not (needed & ~plan.special_mask & ~plan.in_mask).any()

@@ -19,8 +19,11 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from functools import lru_cache
+from operator import add
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -93,14 +96,37 @@ def iter_windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequen
             yield DnaSequence(piece, source_id=f"{seq.source_id}:{start}-{start + len(piece)}")
 
 
-def _guiding_entry(targets: GuidingTargets) -> dict:
-    entry: dict = {"task": targets.task}
-    if targets.label is not None:
-        entry["label"] = targets.label
-    else:
-        entry["positions"] = list(targets.positions)
-        entry["labels"] = {str(p): targets.labels[p] for p in sorted(targets.labels)}
-    return entry
+_TABLE_MAX = 1 << 17  # both tables at this size hold 17 MB
+
+
+@lru_cache(maxsize=4)
+def _decimal(size: int) -> tuple[Callable[[int], str], Callable[[int], str]]:
+    """Text of a value below ``size``: its decimal digits, and the same as a ``,"v":`` key.
+
+    The text comes from two lists of every value's text, built once per
+    size; a list lookup is about three times faster than ``str``. Past
+    ``_TABLE_MAX`` entries the lists would outgrow 17 MB (a 9-mer
+    vocabulary needs 2^19), so the text is formatted per value.
+    """
+    if size > _TABLE_MAX:
+        return str, ',"{}":'.format
+    return [str(i) for i in range(size)].__getitem__, [f',"{i}":' for i in range(size)].__getitem__
+
+
+def _ints(values: np.ndarray, num) -> str:
+    return ",".join(map(num, values.tolist()))
+
+
+def _labels(positions: np.ndarray, labels: np.ndarray, num, key) -> str:
+    return "".join(map(add, map(key, positions.tolist()), map(num, labels.tolist())))[1:]
+
+
+def _targets(targets: GuidingTargets, num, key) -> str:
+    pos, labels = targets.position_array, targets.label_array
+    return (
+        f'{{"task":"{targets.task}","positions":[{_ints(pos, num)}],'
+        f'"labels":{{{_labels(pos, labels, num, key)}}}}}'
+    )
 
 
 def build_record(
@@ -109,37 +135,43 @@ def build_record(
     spec: TokenizerSpec,
     mask_cfg: MaskConfig,
     cfg: PipelineConfig,
-) -> dict:
-    """Produce one batch record; pure function of its arguments."""
+) -> bytes:
+    """Produce one batch record as its JSONL line; pure function of its arguments."""
+    if not 0 <= mask_cfg.mask_id < len(spec.vocab):
+        raise ConfigError(f"MASK id {mask_cfg.mask_id} is not in the vocabulary")
     ids = tokenize(seq, spec)
-    guiding: list[dict] = []
-    sop_entry = None
+    sop_label = None
     if TASK_SOP in cfg.guiding:
         rng = np.random.default_rng((cfg.master_seed, ordinal, _SOP_STREAM))
-        ids, label = sop_transform(
+        ids, sop_label = sop_transform(
             ids, cfg.sop_reverse_prob, rng, special_ids=mask_cfg.special_ids
         )
-        sop_entry = {"task": TASK_SOP, "label": label}
     targets = select_targets(ids, mask_cfg, ordinal)
     plan = neighbor_mask(ids, targets, mask_cfg)
+    # Every value written is a position below ids.size or a token id below
+    # len(vocab); the size is rounded up so windows of any length share text.
+    num, key = _decimal(1 << (max(ids.size, len(spec.vocab)) - 1).bit_length())
     input_ids = plan.input_ids
+    guiding: list[str] = []
     if TASK_FTM in cfg.guiding:
-        guiding.append(_guiding_entry(ftm_targets(plan)))
+        guiding.append(_targets(ftm_targets(plan), num, key))
     if TASK_MST in cfg.guiding:
         input_ids, mst = mst_apply(ids, plan)
-        guiding.append(_guiding_entry(mst))
-    if sop_entry is not None:
-        guiding.append(sop_entry)
+        guiding.append(_targets(mst, num, key))
+    if sop_label is not None:
+        guiding.append(f'{{"task":"{TASK_SOP}","label":{sop_label}}}')
     if TASK_CSP in cfg.guiding:
-        guiding.append(_guiding_entry(csp_targets(plan, spec.vocab)))
-    return {
-        "seq_id": seq.source_id,
-        "input_ids": input_ids.tolist(),
-        "m_in": list(plan.m_in_positions),
-        "m": list(plan.m_positions),
-        "labels": {str(p): plan.labels[p] for p in sorted(plan.labels)},
-        "guiding": guiding,
-    }
+        guiding.append(_targets(csp_targets(plan, spec.vocab), num, key))
+    m = np.flatnonzero(plan.target_mask)
+    m_in = np.flatnonzero(plan.in_mask)
+    labeled = np.flatnonzero(plan.label_mask)
+    line = (
+        f'{{"seq_id":{json.dumps(seq.source_id)},"input_ids":[{_ints(input_ids, num)}],'
+        f'"m_in":[{_ints(m_in, num)}],"m":[{_ints(m, num)}],'
+        f'"labels":{{{_labels(labeled, plan.original_ids[labeled], num, key)}}},'
+        f'"guiding":[{",".join(guiding)}]}}\n'
+    )
+    return line.encode("ascii")
 
 
 def _sha256(path) -> str:
@@ -150,11 +182,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _temp_beside(path: str) -> str:
+    """A fresh name in ``path``'s directory, so os.replace onto ``path`` is atomic."""
+    return f"{path}.{os.urandom(6).hex()}.tmp"
+
+
 def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = None) -> PipelineResult:
     """Generate the batch file and its manifest.
 
     ``sequences`` defaults to streaming ``cfg.fasta_path``; passing an
-    iterable directly is the library entry point.
+    iterable directly is the library entry point. Both files are written
+    under temporary names beside their targets and renamed into place
+    only when the whole run succeeds; a failed run leaves neither behind.
     """
     vocab = Vocabulary.load(cfg.vocab_path)
     spec = TokenizerSpec(vocab, n_mode=cfg.n_mode, add_sentinels=cfg.add_sentinels)
@@ -174,42 +213,50 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
 
     def work(item: tuple[int, DnaSequence]) -> bytes:
         ordinal, seq = item
-        record = build_record(seq, ordinal, spec, mask_cfg, cfg)
-        return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+        return build_record(seq, ordinal, spec, mask_cfg, cfg)
 
+    manifest_path = cfg.out_path + ".manifest.json"
+    batch_tmp, manifest_tmp = _temp_beside(cfg.out_path), _temp_beside(manifest_path)
     n_records = 0
-    with open(cfg.out_path, "wb") as out:
-        if cfg.threads > 1:
-            # Bounded look-ahead keeps memory independent of corpus size
-            # while results are still written in input order.
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                pending: deque = deque()
-                for item in windows:
-                    pending.append(pool.submit(work, item))
-                    if len(pending) >= cfg.threads * 4:
+    try:
+        with open(batch_tmp, "xb") as out:
+            if cfg.threads > 1:
+                # Bounded look-ahead keeps memory independent of corpus size
+                # while results are still written in input order.
+                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                    pending: deque = deque()
+                    for item in windows:
+                        pending.append(pool.submit(work, item))
+                        if len(pending) >= cfg.threads * 4:
+                            out.write(pending.popleft().result())
+                            n_records += 1
+                    while pending:
                         out.write(pending.popleft().result())
                         n_records += 1
-                while pending:
-                    out.write(pending.popleft().result())
+            else:
+                for item in windows:
+                    out.write(work(item))
                     n_records += 1
-        else:
-            for item in windows:
-                out.write(work(item))
-                n_records += 1
 
-    manifest = {
-        "tool": "dnaprep",
-        "version": __version__,
-        "config": asdict(cfg),
-        "inputs": {
-            "vocab": _sha256(cfg.vocab_path),
-            "fasta": _sha256(cfg.fasta_path) if os.path.exists(cfg.fasta_path) else None,
-        },
-        "outputs": {"batch": _sha256(cfg.out_path), "records": n_records},
-    }
-    manifest_path = cfg.out_path + ".manifest.json"
-    with open(manifest_path, "wb") as fh:
-        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+        manifest = {
+            "tool": "dnaprep",
+            "version": __version__,
+            "config": asdict(cfg),
+            "inputs": {
+                "vocab": _sha256(cfg.vocab_path),
+                "fasta": _sha256(cfg.fasta_path) if os.path.exists(cfg.fasta_path) else None,
+            },
+            "outputs": {"batch": _sha256(batch_tmp), "records": n_records},
+        }
+        with open(manifest_tmp, "xb") as fh:
+            fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+        os.replace(batch_tmp, cfg.out_path)
+        os.replace(manifest_tmp, manifest_path)
+    except BaseException:
+        for tmp in (batch_tmp, manifest_tmp):
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
     return PipelineResult(
         out_path=cfg.out_path,
         manifest_path=manifest_path,

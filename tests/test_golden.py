@@ -64,6 +64,8 @@ CASES = {
     "k3_culled_guide": ("k3_culled", dict(guiding=("csp", "ftm", "mst"), p=0.3)),
     "word3_guide": ("word3", dict(guiding=NO_FTM, sop_reverse_prob=0.5, p=0.3)),
     "bpe_guide": ("bpe", dict(guiding=NO_FTM, sop_reverse_prob=0.5, p=0.3)),
+    # 262149 tokens: too many for the encoder's decimal-text tables
+    "k9_guide_all": ("k9", dict(guiding=ALL_TASKS, sop_reverse_prob=0.5, p=0.2)),
 }
 
 DIGESTS = {
@@ -85,6 +87,7 @@ DIGESTS = {
     "k3_culled_guide": "78c54b13ffe380edd8ab68c8400e9bfc56a427196f4454d9aab44580eeb1d7fc",
     "word3_guide": "a8e5a1d33c88b43338e749de08d8ebfd664e354be796d9e097f12470d77e86e5",
     "bpe_guide": "f19d56c89f115b2010b5158defb6db36e524f4def11bdb24087789f913b065aa",
+    "k9_guide_all": "2dd44abcb52592180343f5516910e46001860724d4a2b0cc3025d348135c1fbc",
     "odd_seq_ids": "9c607e4e67a577284911366b33531b5e2894e751f4d671504ebbb2019503a114",
 }
 
@@ -99,6 +102,7 @@ def inputs(tmp_path_factory):
         "k3": build_kmer_vocab(3),
         "k6": build_kmer_vocab(6),
         "k6n": build_kmer_vocab(6, include_n_tokens=True),
+        "k9": build_kmer_vocab(9),
         "word3": build_kmer_vocab(3, kind="word"),
         "word3n": build_kmer_vocab(3, include_n_tokens=True, kind="word"),
         "bpe": bpe_train(read_fasta(fasta), 24),

@@ -5,15 +5,20 @@ from hypothesis import strategies as st
 
 from dnaprep import (
     ConfigError,
+    CullSpec,
     MaskConfig,
+    Vocabulary,
+    bpe_vocab_from_merges,
     build_kmer_vocab,
     csp_targets,
+    cull_vocab,
     ftm_targets,
     mst_apply,
     neighbor_mask,
     select_targets,
     sop_transform,
 )
+from dnaprep.guiding import rc_label_lut
 
 V3 = build_kmer_vocab(3)
 
@@ -163,3 +168,40 @@ class TestCsp:
         toks, plan = make_plan(V3, range(12), [3])
         got = csp_targets(plan, V3)
         assert all(not V3.is_special(label) for label in got.labels.values())
+
+
+class TestRcLabelLut:
+    """The CSP lookup table against Vocabulary.rc_label, id by id."""
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            build_kmer_vocab(4),
+            build_kmer_vocab(3, include_n_tokens=True, kind="word"),
+            cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0],
+            bpe_vocab_from_merges([("A", "C"), ("G", "T"), ("AC", "GT"), ("A", "A")]),
+        ],
+        ids=["kmer", "word", "culled", "bpe"],
+    )
+    def test_table_equals_rc_label(self, vocab):
+        lut = rc_label_lut(vocab)
+        assert [int(lut[i]) for i in range(vocab.n_nonspecial)] == [
+            vocab.rc_label(i) for i in range(vocab.n_nonspecial)
+        ]
+
+    def test_culled_complements_fall_back_to_cull(self):
+        vocab = cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]
+        lut = rc_label_lut(vocab)
+        for kept in ("GTT", "CTT", "CGT"):  # complements AAC, AAG, ACG were culled
+            assert lut[vocab.id_of(kept)] == vocab.cull_id
+
+    def test_missing_complement_without_cull_raises(self):
+        tokens = ("AA", "AC", "TT") + tuple(f"[{n}]" for n in ("CLS", "SEP", "MASK", "PAD", "UNK"))
+        specials = {n: 3 + i for i, n in enumerate(("CLS", "SEP", "MASK", "PAD", "UNK"))}
+        vocab = Vocabulary(kind="kmer", tokens=tokens, specials=specials, k=2)
+        cfg = MaskConfig.for_vocab(vocab)
+        clean = neighbor_mask(with_sentinels(vocab, [0, 2, 2, 0]), [], cfg)
+        assert csp_targets(clean, vocab).labels == {1: 2, 2: 0, 3: 0, 4: 2}
+        plan = neighbor_mask(with_sentinels(vocab, [0, 1, 2]), [], cfg)
+        with pytest.raises(ValueError, match="missing from vocabulary"):
+            csp_targets(plan, vocab)

@@ -182,3 +182,43 @@ class TestConfig:
     def test_word_vocab_gets_k1(self):
         vw = build_kmer_vocab(4, kind="word")
         assert MaskConfig.for_vocab(vw).k == 1
+
+
+def reference_plan(tokens, targets, k, mode, special_ids, mask_id):
+    """The plan written out position by position, from the module docstring."""
+    n = len(tokens)
+    special = {i for i, t in enumerate(tokens) if t in special_ids}
+    m = sorted({p for p in targets if p not in special})
+    if mode == "fixed":
+        masked = {j for c in m for j in range(c - k + 1, c + k) if 0 <= j < n and j not in special}
+        m_in = masked
+        labeled = m
+    else:
+        masked = {j for c in m for j in range(c + 1 - k // 2, c + k - k // 2 + 1) if 0 <= j < n}
+        m_in = masked | set(m)
+        labeled = sorted(m_in)
+    input_ids = [mask_id if i in masked else t for i, t in enumerate(tokens)]
+    return input_ids, tuple(m), tuple(sorted(m_in)), {p: tokens[p] for p in labeled}, frozenset(special)
+
+
+class TestNeighborMaskReference:
+    @given(
+        st.lists(st.integers(0, 68), max_size=60),
+        st.lists(st.integers(0, 59), max_size=20),
+        st.integers(1, 6),
+        st.sampled_from(["fixed", "flawed"]),
+    )
+    @settings(max_examples=150)
+    def test_matches_position_loop(self, body, picks, k, mode):
+        # ids 64.. are V3's specials, so some positions are special
+        cfg = MaskConfig(p=0.11, k=k, mode=mode, special_ids=V3.special_ids, mask_id=V3.mask_id)
+        targets = [p for p in picks if p < len(body)]
+        plan = neighbor_mask(np.array(body, dtype=np.int64), targets, cfg)
+        input_ids, m, m_in, labels, special = reference_plan(body, targets, k, mode, V3.special_ids, V3.mask_id)
+        assert plan.input_ids.tolist() == input_ids
+        assert (plan.m_positions, plan.m_in_positions, plan.labels, plan.special_positions) == (
+            m, m_in, labels, special
+        )
+        assert verify_no_leakage(plan, k) == all(
+            j in m_in or j in special for c in labels for j in range(max(0, c - k + 1), min(len(body), c + k))
+        )

@@ -217,6 +217,18 @@ class TestCli:
         payload = json.loads(lines[0])
         assert set(payload) == {"seq_id", "leakage_percent"}
 
+    @pytest.mark.parametrize("field,bad", [
+        ("m", [1, 9]), ("m", [-1]), ("m_in", [0, 9]), ("m_in", [-2]), ("labels", {"9": 5}), ("labels", {"-1": 5}),
+    ])
+    def test_leakage_batch_rejects_positions_outside_the_record(self, tmp_path, capsys, field, bad):
+        record = {"seq_id": "r", "input_ids": [2, 4, 4, 4, 3], "m_in": [0, 1, 2], "m": [1], "labels": {"1": 7}, "guiding": []}
+        record[field] = bad
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not an index" in captured.err
+
     def test_leakage_closed_form(self, capsys):
         assert main(["leakage", "--k", "6", "--m", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -299,3 +311,43 @@ class TestCli:
         monkeypatch.delenv("DNAPREP_SEED")
         assert main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", out_b, "--seed", "777"]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    @pytest.mark.parametrize(
+        "fasta_text", [">a\nACGTACGTTGCA\n>b\nACGTXACGT\n", None], ids=["bad_symbol", "missing_fasta"]
+    )
+    def test_failed_run_leaves_no_output(self, tmp_path, vocab3_path, fasta_text, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        fasta = write_fasta(tmp_path, fasta_text) if fasta_text else str(tmp_path / "absent.fa")
+        out = str(out_dir / "out.jsonl")
+        code = main(["guide", "--vocab", vocab3_path, "--fasta", fasta, "--out", out, "--tasks", "ftm,csp"])
+        assert code == 2
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_run_keeps_earlier_output(self, tmp_path, vocab3_path, capsys):
+        out = str(tmp_path / "out.jsonl")
+        good = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n", name="good.fa")
+        assert main(["mask", "--vocab", vocab3_path, "--fasta", good, "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("out.jsonl*")}
+        bad = write_fasta(tmp_path, ">a\nACGTXACGT\n", name="bad.fa")
+        assert main(["mask", "--vocab", vocab3_path, "--fasta", bad, "--out", out]) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("out.jsonl*")} == before
+
+    @pytest.mark.parametrize("name", ["DNAPREP_SEED", "DNAPREP_THREADS"])
+    def test_malformed_env_value_is_a_usage_error(self, tmp_path, vocab3_path, monkeypatch, capsys, name):
+        fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n")
+        monkeypatch.setenv(name, "abc")
+        code = main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_build_record_rejects_a_mask_id_outside_the_vocabulary():
+    from dnaprep import ConfigError, TokenizerSpec, build_record
+
+    vocab = build_kmer_vocab(3)
+    cfg = PipelineConfig(vocab_path="", fasta_path="", out_path="")
+    mask_cfg = MaskConfig(k=3, special_ids=vocab.special_ids)  # mask_id left at -1
+    with pytest.raises(ConfigError):
+        build_record(DnaSequence("ACGTACGT", "s"), 0, TokenizerSpec(vocab, add_sentinels=True), mask_cfg, cfg)
