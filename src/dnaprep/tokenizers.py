@@ -15,12 +15,15 @@ reproducible: the same input and spec always produce the same ids.
 BPE training is deterministic: the most frequent adjacent pair is merged
 at every step, occurrences are counted non-overlapping left-to-right
 within each N-delimited run, and frequency ties are broken by the
-lexicographic order of the concatenated pair string.
+lexicographic order of the concatenated pair string, then of the left
+string. BPE encoding applies a vocabulary's merges by rank through the
+same merge loop.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,6 +56,8 @@ _N_CODE = 4
 
 _ACGT_SET = frozenset(NUCLEOTIDES)
 _BASE_VALUE = {c: i for i, c in enumerate(NUCLEOTIDES)}
+_BASE_BYTES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))
+_N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 
 @dataclass
@@ -219,18 +224,8 @@ def tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
 
 def _iter_n_runs(bases: str) -> Iterator[tuple[int, int, bool]]:
     """Yield (start, end, is_n_run) for maximal N / non-N stretches."""
-    i, n = 0, len(bases)
-    while i < n:
-        j = i
-        if bases[i] == N_CHAR:
-            while j < n and bases[j] == N_CHAR:
-                j += 1
-            yield i, j, True
-        else:
-            while j < n and bases[j] != N_CHAR:
-                j += 1
-            yield i, j, False
-        i = j
+    for m in _N_RUNS.finditer(bases):
+        yield m.start(), m.end(), bases[m.start()] == N_CHAR
 
 
 def _cover_n_run(length: int, priority: tuple[str, ...]) -> list[str]:
@@ -297,15 +292,16 @@ def _segmented_ids(bases: str, vocab: Vocabulary, stride: int) -> np.ndarray:
 
 
 class _BpeState:
-    """Linked-list corpus with exact pair counts and a lazy max-heap.
+    """Linked-list corpus indexed by pair positions, with a lazy heap.
 
-    Token positions live in flat arrays with prev/next links; -1 marks a
-    run boundary. ``counts`` holds non-overlapping left-to-right pair
-    counts: for a pair with distinct sides this equals the plain adjacency
-    count, while a self-pair (t, t) counts floor(run_len / 2) per maximal
-    run of t. The heap holds (-count, concat, left_string, pair) entries
-    and is cleaned lazily: an entry is stale once its recorded count no
-    longer matches ``counts``.
+    Token positions live in flat lists with prev/next links; -1 marks a
+    run boundary, and a merged-away position holds token -1. The one
+    stored fact is ``positions[pair]``: the left position of every
+    adjacency of ``pair``. Counts derive from it (see ``count``). Every
+    pair with a nonzero count has a heap entry
+    ``(-count, concat, left_string, pair)`` whose recorded count is at
+    least its current count; ``best_pair`` refreshes entries that
+    overstate it.
     """
 
     def __init__(self, runs: Iterable[str]):
@@ -313,241 +309,105 @@ class _BpeState:
         prv: list[int] = []
         nxt: list[int] = []
         for run in runs:
-            start = len(tok)
-            for ch in run:
-                tok.append(_BASE_VALUE[ch])
-            end = len(tok)
-            for pos in range(start, end):
-                prv.append(pos - 1 if pos > start else -1)
-                nxt.append(pos + 1 if pos + 1 < end else -1)
+            start, end = len(tok), len(tok) + len(run)
+            tok.extend(run.encode("ascii").translate(_BASE_BYTES))
+            prv.extend(range(start - 1, end - 1))
+            nxt.extend(range(start + 1, end + 1))
+            prv[start] = nxt[end - 1] = -1
         self.tok = tok
         self.prv = prv
         self.nxt = nxt
         self.strings = list(NUCLEOTIDES)
         self.str_to_id = {s: i for i, s in enumerate(self.strings)}
-        self.counts: dict[tuple[int, int], int] = {}
         self.positions: dict[tuple[int, int], set[int]] = {}
-        self.heap: list[tuple[int, str, str, tuple[int, int]]] = []
-        self._build_counts()
+        for i, j in enumerate(nxt):
+            if j != -1:
+                self.positions.setdefault((tok[i], tok[j]), set()).add(i)
+        self.heap: list = []
+        for pair in self.positions:
+            self._push(pair)
 
-    # counts bookkeeping ----------------------------------------------------
+    def count(self, pair: tuple[int, int]) -> int:
+        """Non-overlapping left-to-right occurrences of ``pair``.
 
-    def _build_counts(self) -> None:
-        tok, prv, nxt = self.tok, self.prv, self.nxt
-        for start in range(len(tok)):
-            if prv[start] != -1:
-                continue
-            i = start
-            same_len = 1
-            while True:
-                j = nxt[i]
-                if j == -1:
-                    break
-                pair = (tok[i], tok[j])
-                self.positions.setdefault(pair, set()).add(i)
-                if tok[i] == tok[j]:
-                    same_len += 1
-                else:
-                    if same_len > 1:
-                        self._bump((tok[i], tok[i]), same_len // 2)
-                    same_len = 1
-                    self._bump(pair, 1)
-                i = j
-            if same_len > 1:
-                self._bump((tok[i], tok[i]), same_len // 2)
-
-    def _bump(self, pair: tuple[int, int], delta: int) -> None:
-        if delta == 0:
-            return
-        new = self.counts.get(pair, 0) + delta
-        self.counts[pair] = new
-        if new > 0:
-            left, right = self.strings[pair[0]], self.strings[pair[1]]
-            heapq.heappush(self.heap, (-new, left + right, left, pair))
-
-    def _add_adj(self, left_pos: int, pair: tuple[int, int], delta: int = 1) -> None:
-        self.positions.setdefault(pair, set()).add(left_pos)
-        self._bump(pair, delta)
-
-    def _drop_adj(self, left_pos: int, pair: tuple[int, int]) -> None:
-        occ = self.positions.get(pair)
-        if occ is not None:
-            occ.discard(left_pos)
-        self._bump(pair, -1)
-
-    def _chain_len(self, pos: int, token: int) -> int:
-        """Number of (token, token) adjacencies in the run through ``pos``."""
-        edges = 0
-        q = pos
-        while True:
-            p = self.prv[q]
-            if p == -1 or self.tok[p] != token:
-                break
-            edges += 1
-            q = p
-        q = pos
-        while True:
-            j = self.nxt[q]
-            if j == -1 or self.tok[j] != token:
-                break
-            edges += 1
-            q = j
-        return edges
-
-    def _drop_boundary_homo(self, left_pos: int, token: int) -> None:
-        # The removed edge sits at one end of its run, so the chain only
-        # shortens by one: the count drops exactly when the length is odd.
-        length = self._chain_len(left_pos, token)
-        pair = (token, token)
-        occ = self.positions.get(pair)
-        if occ is not None:
-            occ.discard(left_pos)
-        self._bump(pair, -1 if length % 2 == 1 else 0)
-
-    def _recount_homo(self, token: int) -> None:
-        """Authoritative (token, token) recount from the positions set.
-
-        Needed only in the rare case where a merge's output string equals
-        a pre-existing token, which breaks the fresh-token assumptions of
-        the incremental chain accounting.
+        For distinct sides that is every adjacency. A self-pair (t, t)
+        counts (edges + 1) // 2 per maximal chain of (t, t) edges, which
+        is floor(run_len / 2) per maximal run of t.
         """
-        pair = (token, token)
-        occ = {
-            p
-            for p in self.positions.get(pair, set())
-            if self.tok[p] == token and self.nxt[p] != -1 and self.tok[self.nxt[p]] == token
-        }
-        self.positions[pair] = occ
+        occ = self.positions.get(pair)
+        if not occ:
+            return 0
+        if pair[0] != pair[1]:
+            return len(occ)
+        prv, nxt = self.prv, self.nxt
         total = 0
-        seen: set[int] = set()
         for p in occ:
-            if p in seen:
-                continue
-            q = p
-            while self.prv[q] in occ:
-                q = self.prv[q]
+            if prv[p] in occ:
+                continue  # not the head edge of its chain
             edges = 0
-            while q in occ:
-                seen.add(q)
+            while p in occ:
                 edges += 1
-                q = self.nxt[q]
+                p = nxt[p]
             total += (edges + 1) // 2
-        self._bump(pair, total - self.counts.get(pair, 0))
+        return total
 
-    # merge selection ---------------------------------------------------------
+    def _push(self, pair: tuple[int, int]) -> None:
+        n = self.count(pair)
+        if n:
+            left = self.strings[pair[0]]
+            heapq.heappush(self.heap, (-n, left + self.strings[pair[1]], left, pair))
 
     def best_pair(self) -> tuple[int, int] | None:
-        while self.heap:
-            neg, _concat, _left, pair = self.heap[0]
-            if self.counts.get(pair, 0) == -neg and -neg > 0:
+        heap = self.heap
+        while heap:
+            neg, concat, left, pair = heap[0]
+            n = self.count(pair)
+            if n == -neg:
                 return pair
-            heapq.heappop(self.heap)
+            heapq.heappop(heap)
+            if 0 < n < -neg:
+                heapq.heappush(heap, (-n, concat, left, pair))
         return None
 
-    # merge application ---------------------------------------------------------
+    def _unlink(self, pos: int, pair: tuple[int, int]) -> None:
+        occ = self.positions.get(pair)
+        if occ is not None:
+            occ.discard(pos)
+            if not occ:
+                del self.positions[pair]
 
     def merge(self, pair: tuple[int, int]) -> tuple[int, bool]:
-        """Apply one merge everywhere; returns (merged id, was fresh token)."""
+        """Apply one merge left to right everywhere; returns (merged id, was fresh token)."""
         a, b = pair
         out = self.strings[a] + self.strings[b]
-        new_id = self.str_to_id.get(out)
-        fresh = new_id is None
+        c = self.str_to_id.get(out)
+        fresh = c is None
         if fresh:
-            new_id = len(self.strings)
+            c = len(self.strings)
             self.strings.append(out)
-            self.str_to_id[out] = new_id
-        occ = sorted(self.positions.pop(pair, ()))
-        self.counts.pop(pair, None)
-        if a == b:
-            self._merge_homo(a, new_id, occ)
-        else:
-            self._merge_hetero(a, b, new_id, occ)
-        if not fresh:
-            self._recount_homo(new_id)
-        return new_id, fresh
-
-    def _splice(self, i: int, j: int, new_id: int) -> None:
-        tok, prv, nxt = self.tok, self.prv, self.nxt
-        right = nxt[j]
-        tok[i] = new_id
-        nxt[i] = right
-        if right != -1:
-            prv[right] = i
-        tok[j] = -1
-        prv[j] = -1
-        nxt[j] = -1
-
-    def _merge_hetero(self, a: int, b: int, c: int, occ: list[int]) -> None:
-        tok, prv, nxt = self.tok, self.prv, self.nxt
-        run_end_len: dict[int, int] = {}
-        for i in occ:
+            self.str_to_id[out] = c
+        tok, prv, nxt, positions = self.tok, self.prv, self.nxt, self.positions
+        grown: set[tuple[int, int]] = set()
+        for i in sorted(positions.pop(pair, ())):
             j = nxt[i]
-            if tok[i] != a or j == -1 or tok[j] != b:
-                continue  # defensive: distinct-sided occurrences never overlap
-            left = prv[i]
-            right = nxt[j]
+            if tok[i] != a or tok[j] != b:
+                continue  # the previous occurrence took one of these tokens
+            left, right = prv[i], nxt[j]
+            tok[i], tok[j], nxt[i] = c, -1, right
             if left != -1:
-                x = tok[left]
-                if x == a:
-                    self._drop_boundary_homo(left, a)
-                else:
-                    self._drop_adj(left, (x, a))
+                self._unlink(left, (tok[left], a))
+                new = (tok[left], c)
+                positions.setdefault(new, set()).add(left)
+                grown.add(new)
             if right != -1:
-                y = tok[right]
-                if y == b:
-                    self._drop_boundary_homo(j, b)
-                else:
-                    self._drop_adj(j, (b, y))
-            self._splice(i, j, c)
-            if left != -1 and tok[left] == c:
-                # chain of freshly merged tokens: count grows on every 2nd link
-                length = run_end_len.get(left, 1) + 1
-                run_end_len[i] = length
-                self._add_adj(left, (c, c), delta=length // 2 - (length - 1) // 2)
-            else:
-                run_end_len[i] = 1
-                if left != -1:
-                    self._add_adj(left, (tok[left], c))
-            if right != -1:
-                self._add_adj(i, (c, tok[right]), delta=0 if tok[right] == c else 1)
-
-    def _merge_homo(self, a: int, c: int, occ: list[int]) -> None:
-        tok, prv, nxt = self.tok, self.prv, self.nxt
-        occ_set = set(occ)
-        consumed: set[int] = set()
-        for start in occ:
-            if start in consumed or (prv[start] != -1 and prv[start] in occ_set):
-                continue  # not the head edge of its run
-            chain = [start]
-            q = start
-            while True:
-                j = nxt[q]
-                if j == -1 or tok[j] != a:
-                    break
-                chain.append(j)
-                q = j
-            consumed.update(chain[:-1])
-            run_len = len(chain)
-            reps = run_len // 2
-            left = prv[chain[0]]
-            right = nxt[chain[-1]]
-            if left != -1:
-                self._drop_adj(left, (tok[left], a))
-            if right != -1 and run_len % 2 == 0:
-                self._drop_adj(chain[-1], (a, tok[right]))
-            heads = []
-            for idx in range(0, run_len - 1, 2):
-                self._splice(chain[idx], chain[idx + 1], c)
-                heads.append(chain[idx])
-            if left != -1:
-                self._add_adj(left, (tok[left], c), delta=0 if tok[left] == c else 1)
-            for prev_head in heads[:-1]:
-                self._add_adj(prev_head, (c, c), delta=0)
-            self._bump((c, c), reps // 2)
-            if run_len % 2 == 1:
-                self._add_adj(heads[-1], (c, a))
-            elif right != -1:
-                self._add_adj(heads[-1], (c, tok[right]), delta=0 if tok[right] == c else 1)
+                self._unlink(j, (b, tok[right]))
+                prv[right] = i
+                new = (c, tok[right])
+                positions.setdefault(new, set()).add(i)
+                grown.add(new)
+        for new in grown:
+            self._push(new)
+        return c, fresh
 
 
 def _corpus_runs(corpus: Iterable[DnaSequence]) -> Iterator[str]:
@@ -627,29 +487,33 @@ def _merge_ranks(vocab: Vocabulary) -> dict[tuple[str, str], int]:
     return ranks
 
 
-def _encode_run(run: str, vocab: Vocabulary, ranks: dict[tuple[str, str], int]) -> list[str]:
-    """Merge-rank encoding of one N-free run into token strings."""
-    toks = list(run)
-    while len(toks) > 1:
-        best_rank = None
-        for i in range(len(toks) - 1):
-            r = ranks.get((toks[i], toks[i + 1]))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-        if best_rank is None:
-            break
-        left, right = vocab.merges[best_rank]
-        out: list[str] = []
-        i = 0
-        while i < len(toks):
-            if i + 1 < len(toks) and toks[i] == left and toks[i + 1] == right:
-                out.append(left + right)
-                i += 2
-            else:
-                out.append(toks[i])
-                i += 1
-        toks = out
-    return toks
+class _BpeEncoder(_BpeState):
+    """The same index and merge loop, applying a vocabulary's merges.
+
+    The present pair with the lowest merge rank merges next, so the heap
+    holds ``(rank, pair)`` entries; an entry is stale once its pair has
+    no positions left. Construction encodes the runs to completion.
+    """
+
+    def __init__(self, runs: Iterable[str], ranks: dict[tuple[str, str], int]):
+        self.ranks = ranks
+        super().__init__(runs)
+        while (pair := self.best_pair()) is not None:
+            self.merge(pair)
+
+    def _push(self, pair: tuple[int, int]) -> None:
+        rank = self.ranks.get((self.strings[pair[0]], self.strings[pair[1]]))
+        if rank is not None:
+            heapq.heappush(self.heap, (rank, pair))
+
+    def best_pair(self) -> tuple[int, int] | None:
+        heap = self.heap
+        while heap:
+            pair = heap[0][1]
+            if pair in self.positions:
+                return pair
+            heapq.heappop(heap)
+        return None
 
 
 def bpe_encode(
@@ -670,10 +534,12 @@ def bpe_encode(
         raise ConfigError(f"unknown n_mode {n_mode!r}")
     if n_mode == N_MODE_SEG and not vocab.n_run_tokens():
         raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
-    ranks = _merge_ranks(vocab)
-    cull = vocab.cull_id
+    spans = list(_iter_n_runs(seq.bases))
+    state = _BpeEncoder((seq.bases[s:e] for s, e, is_n in spans if not is_n), _merge_ranks(vocab))
+    table = [vocab._token_to_id.get(s, vocab.cull_id) for s in state.strings]
     ids: list[int] = []
-    for start, end, is_n in _iter_n_runs(seq.bases):
+    offset = 0
+    for start, end, is_n in spans:
         if is_n:
             if n_mode == N_MODE_AS_UNK:
                 ids.extend([vocab.unk_id] * (end - start))
@@ -681,14 +547,13 @@ def bpe_encode(
                 ids.extend(
                     vocab.id_of(t) for t in _cover_n_run(end - start, vocab.n_run_tokens())
                 )
-        else:
-            for tok in _encode_run(seq.bases[start:end], vocab, ranks):
-                tid = vocab._token_to_id.get(tok)
-                if tid is None:
-                    if cull is None:
-                        raise DataError(f"token {tok!r} missing from BPE vocabulary")
-                    tid = cull
-                ids.append(tid)
+            continue
+        for t in state.tok[offset : offset + end - start]:
+            if t >= 0:
+                if table[t] is None:
+                    raise DataError(f"token {state.strings[t]!r} missing from BPE vocabulary")
+                ids.append(table[t])
+        offset += end - start
     return _wrap_sentinels(np.asarray(ids, dtype=np.int64), vocab, add_sentinels)
 
 

@@ -52,12 +52,17 @@ def compute_token_stats(
     vocab = spec.vocab
     size = len(vocab)
     freq = np.zeros(size, dtype=np.int64)
+    # the narrowest unsigned type holding every successor key left * size + right
+    key_type = np.min_scalar_type(size * size)
     pair_keys: list[np.ndarray] = []
     for seq in corpus:
         ids = tokenize(seq, spec)
         freq += np.bincount(ids, minlength=size)
         if ids.size >= 2:
-            pair_keys.append(ids[:-1] * size + ids[1:])
+            keys = ids[:-1].astype(key_type)
+            keys *= size
+            np.add(keys, ids[1:], out=keys, casting="unsafe")
+            pair_keys.append(keys)
     entropy = np.zeros(size, dtype=np.float64)
     if pair_keys:
         keys, counts = np.unique(np.concatenate(pair_keys), return_counts=True)

@@ -333,6 +333,20 @@ class TestCli:
         assert main(["mask", "--vocab", vocab3_path, "--fasta", bad, "--out", out]) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.glob("out.jsonl*")} == before
 
+    def test_failed_tokenize_leaves_no_output_and_keeps_earlier(self, tmp_path, vocab3_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "tok.jsonl"
+        args = ["tokenize", "--vocab", vocab3_path, "--out", str(out), "--fasta"]
+        bad = write_fasta(tmp_path, ">a\nACGTACGT\n>b\nACXT\n", name="bad.fa")
+        assert main(args + [bad]) == 2
+        assert list(out_dir.iterdir()) == []
+        good = write_fasta(tmp_path, ">a\nACGTACGT\n", name="good.fa")
+        assert main(args + [good]) == 0
+        before = out.read_bytes()
+        assert main(args + [bad]) == 2
+        assert list(out_dir.iterdir()) == [out] and out.read_bytes() == before
+
     @pytest.mark.parametrize("name", ["DNAPREP_SEED", "DNAPREP_THREADS"])
     def test_malformed_env_value_is_a_usage_error(self, tmp_path, vocab3_path, monkeypatch, capsys, name):
         fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n")

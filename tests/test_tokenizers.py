@@ -229,7 +229,7 @@ class TestBpeTrain:
                     continue
                 expected[pair] = expected.get(pair, 0) + 1
                 last_end[pair] = i + 2
-        live = {p: c for p, c in state.counts.items() if c > 0}
+        live = {p: state.count(p) for p in state.positions}
         assert live == expected
 
 

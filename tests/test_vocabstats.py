@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,24 @@ class TestTokenStats:
             compute_token_stats(
                 [DnaSequence("ACGT")], TokenizerSpec(V3), accuracy={9999: 0.5}
             )
+
+    def test_successor_entropy_k8_matches_python_reference(self):
+        # 65541 ids, so a successor key left * size + right needs 33 bits
+        vocab = build_kmer_vocab(8)
+        spec = TokenizerSpec(vocab, add_sentinels=True)
+        corpus = [DnaSequence("T" * 9 + "A" * 8), DnaSequence("ACGTTGCAACGTACGTTGCA")]
+        successors: dict[int, Counter] = {}
+        for seq in corpus:
+            ids = [int(i) for i in kmer_tokenize(seq, spec)]
+            for left, right in zip(ids, ids[1:]):
+                successors.setdefault(left, Counter())[right] += 1
+        expected = [0.0] * len(vocab)
+        for left, counter in successors.items():
+            total = sum(counter.values())
+            expected[left] = -sum(c / total * math.log2(c / total) for c in counter.values())
+        got = [s.context_entropy for s in compute_token_stats(corpus, spec)]
+        assert got[vocab.id_of("T" * 8)] == 1.0
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestBuckets:
