@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import suppress
 
 from . import __version__
 from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
@@ -23,7 +22,7 @@ from .fasta import read_fasta
 from .guiding import GUIDING_TASKS
 from .leakage import empirical_plan_leakage, leakage_report
 from .masking import MASK_MODES, MODE_FIXED, MaskPlan
-from .pipeline import PipelineConfig, _temp_beside, iter_windows, run_pipeline
+from .pipeline import PipelineConfig, _atomic_output, iter_windows, run_pipeline
 from .tokenizers import N_MODE_AS_UNK, N_MODES, TokenizerSpec, bpe_train, tokenize
 from .vocabstats import (
     CullSpec,
@@ -169,17 +168,10 @@ def _cmd_tokenize(args) -> int:
     seqs = read_fasta(args.fasta)
     if args.window:
         seqs = iter_windows(seqs, args.window)
-    tmp = _temp_beside(args.out)
-    try:
-        with open(tmp, "xb") as out:
-            for seq in seqs:
-                record = {"seq_id": seq.source_id, "ids": tokenize(seq, spec).tolist()}
-                out.write((json.dumps(record, separators=(",", ":")) + "\n").encode())
-        os.replace(tmp, args.out)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with _atomic_output(args.out) as tmp, open(tmp, "xb") as out:
+        for seq in seqs:
+            record = {"seq_id": seq.source_id, "ids": tokenize(seq, spec).tolist()}
+            out.write((json.dumps(record, separators=(",", ":")) + "\n").encode())
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from operator import add
@@ -182,9 +182,21 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _temp_beside(path: str) -> str:
-    """A fresh name in ``path``'s directory, so os.replace onto ``path`` is atomic."""
-    return f"{path}.{os.urandom(6).hex()}.tmp"
+@contextmanager
+def _atomic_output(path: str) -> Iterator[str]:
+    """Yield a fresh name beside ``path``, renamed onto it only on success.
+
+    The name shares ``path``'s directory, so the os.replace is atomic; on
+    any exception the temporary file is removed and ``path`` is untouched.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = None) -> PipelineResult:
@@ -216,9 +228,9 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
         return build_record(seq, ordinal, spec, mask_cfg, cfg)
 
     manifest_path = cfg.out_path + ".manifest.json"
-    batch_tmp, manifest_tmp = _temp_beside(cfg.out_path), _temp_beside(manifest_path)
     n_records = 0
-    try:
+    # the batch is renamed into place before its manifest
+    with _atomic_output(manifest_path) as manifest_tmp, _atomic_output(cfg.out_path) as batch_tmp:
         with open(batch_tmp, "xb") as out:
             if cfg.threads > 1:
                 # Bounded look-ahead keeps memory independent of corpus size
@@ -250,13 +262,6 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
         }
         with open(manifest_tmp, "xb") as fh:
             fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
-        os.replace(batch_tmp, cfg.out_path)
-        os.replace(manifest_tmp, manifest_path)
-    except BaseException:
-        for tmp in (batch_tmp, manifest_tmp):
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
     return PipelineResult(
         out_path=cfg.out_path,
         manifest_path=manifest_path,

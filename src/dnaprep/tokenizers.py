@@ -534,12 +534,9 @@ def bpe_encode(
         raise ConfigError(f"unknown n_mode {n_mode!r}")
     if n_mode == N_MODE_SEG and not vocab.n_run_tokens():
         raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
-    spans = list(_iter_n_runs(seq.bases))
-    state = _BpeEncoder((seq.bases[s:e] for s, e, is_n in spans if not is_n), _merge_ranks(vocab))
-    table = [vocab._token_to_id.get(s, vocab.cull_id) for s in state.strings]
+    ranks = _merge_ranks(vocab)
     ids: list[int] = []
-    offset = 0
-    for start, end, is_n in spans:
+    for start, end, is_n in _iter_n_runs(seq.bases):
         if is_n:
             if n_mode == N_MODE_AS_UNK:
                 ids.extend([vocab.unk_id] * (end - start))
@@ -548,12 +545,13 @@ def bpe_encode(
                     vocab.id_of(t) for t in _cover_n_run(end - start, vocab.n_run_tokens())
                 )
             continue
-        for t in state.tok[offset : offset + end - start]:
+        state = _BpeEncoder([seq.bases[start:end]], ranks)
+        table = [vocab._token_to_id.get(s, vocab.cull_id) for s in state.strings]
+        for t in state.tok:
             if t >= 0:
                 if table[t] is None:
                     raise DataError(f"token {state.strings[t]!r} missing from BPE vocabulary")
                 ids.append(table[t])
-        offset += end - start
     return _wrap_sentinels(np.asarray(ids, dtype=np.int64), vocab, add_sentinels)
 
 

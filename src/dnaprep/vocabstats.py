@@ -59,9 +59,7 @@ def compute_token_stats(
         ids = tokenize(seq, spec)
         freq += np.bincount(ids, minlength=size)
         if ids.size >= 2:
-            # ids are non-negative, so an unsigned view of the same width is exact and free
-            same_width = np.dtype(f"u{ids.itemsize}")
-            unsigned = ids.view(same_width) if same_width == key_type else ids.astype(key_type)
+            unsigned = ids.astype(key_type)
             keys = unsigned[:-1] * size
             keys += unsigned[1:]
             pair_keys.append(keys)
