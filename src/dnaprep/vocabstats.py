@@ -59,9 +59,9 @@ def compute_token_stats(
         ids = tokenize(seq, spec)
         freq += np.bincount(ids, minlength=size)
         if ids.size >= 2:
-            unsigned = ids.astype(key_type)
-            keys = unsigned[:-1] * size
-            keys += unsigned[1:]
+            keys = ids[:-1].astype(key_type)
+            keys *= size
+            keys += ids[1:].astype(key_type)
             pair_keys.append(keys)
     entropy = np.zeros(size, dtype=np.float64)
     if pair_keys:
