@@ -252,10 +252,13 @@ def _cmd_cull(args) -> int:
     else:
         ids = [int(part) for part in args.remove.split(",") if part.strip()]
     culled, remap = cull_vocab(vocab, CullSpec(frozenset(ids)))
-    culled.save(args.out)
-    with open(args.out + ".remap.json", "w") as fh:
-        json.dump({str(k): v for k, v in sorted(remap.items())}, fh, indent=1)
-        fh.write("\n")
+    # the remap is renamed into place first and the vocabulary last, so a
+    # run that fails on either file leaves no new vocabulary behind
+    with _atomic_output(args.out) as vocab_tmp, _atomic_output(args.out + ".remap.json") as remap_tmp:
+        culled.save(vocab_tmp)
+        with open(remap_tmp, "x") as fh:
+            json.dump({str(k): v for k, v in sorted(remap.items())}, fh, indent=1)
+            fh.write("\n")
     return EXIT_OK
 
 

@@ -43,7 +43,7 @@ CULL_TOKEN = "[CULL]"
 VOCAB_FORMAT_VERSION = 1
 
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
-_VALID_BYTES = b"ACGTN"
+_VALID_BYTES = b"ACGTNacgtn"
 _BAD_BYTE_RE = re.compile(b"[^ACGTN]")
 
 
@@ -57,14 +57,14 @@ def _validate_bases(text: str) -> str:
         raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise DataError(f"non-ASCII character in sequence at offset {exc.start}") from None
-    upper = raw.upper()
-    if upper.translate(None, delete=_VALID_BYTES):
+    if raw.translate(None, delete=_VALID_BYTES):
+        upper = raw.upper()
         match = _BAD_BYTE_RE.search(upper)
         assert match is not None
         raise DataError(
             f"invalid symbol {bytes([upper[match.start()]])!r} at offset {match.start()}"
         )
-    return upper.decode("ascii")
+    return text.upper()
 
 
 @dataclass(frozen=True)

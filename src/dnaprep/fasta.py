@@ -1,10 +1,14 @@
 """Streaming FASTA ingestion.
 
-Records are yielded one at a time so peak memory stays bounded by the
-longest single sequence. Lowercase bases are uppercased, CRLF endings are
+Records are yielded one at a time. The file is read in fixed blocks cut
+at their last newline, so peak memory stays bounded by the longest single
+sequence plus one block. Lowercase bases are uppercased, CRLF endings are
 tolerated, and gzip-compressed files are opened transparently when the
 filename ends in ``.gz``. Any body byte outside A/C/G/T/N aborts with the
 offending line number.
+
+Bases are validated once, by :class:`DnaSequence`. Only a record it
+rejects is read again line by line, to name the offending line.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .core import DnaSequence
 from .errors import DataError
 
 _VALID = b"ACGTN"
+_BLOCK = 1 << 20
 
 
 def read_fasta(path) -> Iterator[DnaSequence]:
@@ -23,30 +28,81 @@ def read_fasta(path) -> Iterator[DnaSequence]:
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as fh:
         record_id: str | None = None
-        chunks: list[bytes] = []
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip(b"\r\n")
-            if not line:
-                continue
-            if line.startswith(b">"):
-                if record_id is not None:
-                    yield _make(record_id, chunks)
-                header = line[1:].strip()
-                if not header:
-                    raise DataError(f"{path}: empty FASTA header on line {lineno}")
-                record_id = header.split()[0].decode("ascii", errors="replace")
-                chunks = []
-            else:
+        body_line = 0  # line number of the current record's first body line
+        parts: list[bytes] = []
+        lineno = 1  # line number at ``pos``
+        for block in _line_blocks(fh):
+            pos = 0
+            while pos < len(block):
+                # ``pos`` is always at the start of a line
+                if block[pos] == 0x3E:  # b">"
+                    if record_id is not None:
+                        yield _record(path, record_id, parts, body_line)
+                    end = block.find(b"\n", pos)
+                    end = len(block) if end < 0 else end
+                    header = block[pos + 1 : end].strip()
+                    if not header:
+                        raise DataError(f"{path}: empty FASTA header on line {lineno}")
+                    record_id = header.split()[0].decode("ascii", errors="replace")
+                    parts = []
+                    lineno += 1
+                    body_line = lineno
+                    pos = end + 1
+                    continue
+                end = block.find(b"\n>", pos) + 1 or len(block)
+                span = block[pos:end]
                 if record_id is None:
-                    raise DataError(f"{path}: sequence data before any header on line {lineno}")
-                body = line.upper()
-                if body.translate(None, delete=_VALID):
-                    bad = next(bytes([b]) for b in body if b not in _VALID)
-                    raise DataError(f"{path}: invalid symbol {bad!r} on line {lineno}")
-                chunks.append(body)
+                    if span.strip(b"\r\n"):
+                        _body_lines(path, span, lineno, in_record=False)
+                else:
+                    parts.append(span)
+                lineno += span.count(b"\n")
+                pos = end
         if record_id is not None:
-            yield _make(record_id, chunks)
+            yield _record(path, record_id, parts, body_line)
 
 
-def _make(record_id: str, chunks: list[bytes]) -> DnaSequence:
-    return DnaSequence(b"".join(chunks).decode("ascii"), source_id=record_id)
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The file in blocks of whole lines; only the last may lack its newline."""
+    pending: list[bytes] = []
+    while block := fh.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _record(path, record_id: str, parts: list[bytes], body_line: int) -> DnaSequence:
+    """One record from the raw lines of its body, line ends included."""
+    raw = b"".join(parts)
+    eol = b"\r\n" if b"\r" in raw else b"\n"
+    try:
+        return DnaSequence(raw.replace(eol, b"").decode("ascii"), source_id=record_id)
+    except (UnicodeDecodeError, DataError):
+        pass
+    # Rejected, or its line ends mix LF with CRLF: read it line by line,
+    # which either names the offending line or strips the mixed endings.
+    return DnaSequence(_body_lines(path, raw, body_line).decode("ascii"), source_id=record_id)
+
+
+def _body_lines(path, raw: bytes, lineno: int, in_record: bool = True) -> bytes:
+    """The bases of body lines ``raw`` starting at line ``lineno``, checked one line at a time."""
+    chunks: list[bytes] = []
+    for lineno, line in enumerate(raw.split(b"\n"), lineno):
+        line = line.rstrip(b"\r")
+        if not line:
+            continue
+        if not in_record:
+            raise DataError(f"{path}: sequence data before any header on line {lineno}")
+        body = line.upper()
+        if body.translate(None, delete=_VALID):
+            bad = next(bytes([b]) for b in body if b not in _VALID)
+            raise DataError(f"{path}: invalid symbol {bad!r} on line {lineno}")
+        chunks.append(body)
+    return b"".join(chunks)

@@ -57,7 +57,10 @@ def compute_token_stats(
     pair_keys: list[np.ndarray] = []
     for seq in corpus:
         ids = tokenize(seq, spec)
-        freq += np.bincount(ids, minlength=size)
+        if ids.size:
+            # every other token is the left side of one successor pair,
+            # counted with the pairs below
+            freq[ids[-1]] += 1
         if ids.size >= 2:
             keys = ids[:-1].astype(key_type)
             keys *= size
@@ -66,11 +69,23 @@ def compute_token_stats(
     entropy = np.zeros(size, dtype=np.float64)
     if pair_keys:
         keys, counts = np.unique(np.concatenate(pair_keys), return_counts=True)
-        lefts = keys // size
-        for left in np.unique(lefts):
-            sel = counts[lefts == left].astype(np.float64)
-            probs = sel / sel.sum()
-            entropy[left] = float(-(probs * np.log2(probs)).sum())
+        lefts = (keys // size).astype(np.intp)  # sorted, so each row's successors are contiguous
+        counts = counts.astype(np.float64)
+        totals = np.bincount(lefts, weights=counts, minlength=size)  # exact: integers below 2**53
+        freq += totals.astype(np.int64)
+        probs = counts / totals[lefts]
+        terms = probs * np.log2(probs)
+        sums = np.bincount(lefts, weights=terms, minlength=size)
+        # bincount adds a row's terms one by one, as .sum() does up to 7
+        # terms; from 8 terms on .sum() adds pairwise, so those rows are
+        # summed again by .sum() to keep every bit of the result.
+        widths = np.bincount(lefts, minlength=size)
+        ends = np.cumsum(widths)
+        for left in np.flatnonzero(widths >= 8):
+            sums[left] = terms[ends[left] - widths[left] : ends[left]].sum()
+        # 0 - x, not -x: a row whose one successor has p = 1 sums to 0.0,
+        # and its entropy is +0.0, not -0.0
+        entropy = 0.0 - sums
     if accuracy is not None:
         unknown = sorted(set(accuracy) - set(range(size)))
         if unknown:

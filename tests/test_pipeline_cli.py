@@ -347,6 +347,32 @@ class TestCli:
         assert main(args + [bad]) == 2
         assert list(out_dir.iterdir()) == [out] and out.read_bytes() == before
 
+    def test_failed_cull_leaves_no_output_and_keeps_earlier(self, tmp_path, vocab3_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "c.json"
+        blocker = out_dir / "c.json.remap.json"
+        blocker.mkdir()  # the remap cannot be renamed onto a directory
+        args = ["cull", "--vocab", vocab3_path, "--remove", "0,1,2", "--out", str(out)]
+        assert main(args) == 2
+        assert list(out_dir.iterdir()) == [blocker]
+        blocker.rmdir()
+        assert main(args) == 0
+        before = out.read_bytes()
+        (out_dir / "c.json.remap.json").unlink()
+        blocker.mkdir()
+        assert main(args[:-3] + ["3,4,5", "--out", str(out)]) == 2
+        assert sorted(out_dir.iterdir()) == [out, blocker] and out.read_bytes() == before
+
+    def test_vocab_stats_writes_no_negative_zero_entropy(self, tmp_path, vocab3_path):
+        # every 3-mer of ACGTACGT has one successor, so entropy 0
+        fasta = write_fasta(tmp_path, ">s\nACGTACGT\n")
+        out = tmp_path / "stats.csv"
+        assert main(["vocab-stats", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out)]) == 0
+        rows = {row[1]: row for row in (line.split(",") for line in out.read_text().splitlines()[1:])}
+        assert [rows[t][4] for t in ("ACG", "CGT", "GTA", "TAC")] == ["0"] * 4
+        assert not any(row[4] == "-0" for row in rows.values())
+
     @pytest.mark.parametrize("name", ["DNAPREP_SEED", "DNAPREP_THREADS"])
     def test_malformed_env_value_is_a_usage_error(self, tmp_path, vocab3_path, monkeypatch, capsys, name):
         fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n")

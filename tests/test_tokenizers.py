@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from dnaprep import (
     segment_with_n,
     word_tokenize,
 )
+from dnaprep import tokenizers
 from dnaprep.core import bpe_vocab_from_merges
 
 acgt = st.text(alphabet="ACGT", max_size=120)
@@ -276,11 +280,28 @@ class TestBpeEncode:
 
 
 class TestParallel:
-    @given(st.text(alphabet="ACGTN", max_size=300), st.integers(2, 5))
+    @given(st.text(alphabet="ACGTN", max_size=300), st.integers(2, 5), st.integers(1, 40))
     @settings(max_examples=30)
-    def test_matches_serial(self, bases, threads):
+    def test_matches_serial(self, bases, threads, min_chunk):
+        # a few-window minimum chunk lets these short inputs split
         vocab = build_kmer_vocab(3)
         spec = TokenizerSpec(vocab, add_sentinels=True)
         serial = kmer_tokenize(DnaSequence(bases), spec)
-        parallel = kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
+        with mock.patch.object(tokenizers, "_MIN_CHUNK", min_chunk):
+            parallel = kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
         assert np.array_equal(serial, parallel)
+
+    def test_chunks_are_never_shorter_than_the_minimum(self):
+        spec = TokenizerSpec(build_kmer_vocab(3))
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        with mock.patch.object(tokenizers, "_MIN_CHUNK", 10), mock.patch.object(tokenizers, "ThreadPoolExecutor", Pool):
+            for n_windows, threads in [(19, 8), (20, 8), (35, 8), (1000, 3), (500, 1)]:
+                bases = ("ACGT" * n_windows)[: n_windows + 2]
+                kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
+        assert pools == [2, 3, 3]

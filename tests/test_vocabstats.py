@@ -12,14 +12,17 @@ from dnaprep import (
     DataError,
     DnaSequence,
     TokenizerSpec,
+    bpe_train,
     bucket_tokens,
     build_kmer_vocab,
     compute_token_stats,
     cull_vocab,
     kmer_tokenize,
     remap_ids,
+    tokenize,
 )
 from dnaprep.core import CULL_TOKEN
+from dnaprep.tokenizers import N_MODES
 from dnaprep.vocabstats import write_stats_csv
 
 V1 = build_kmer_vocab(1)
@@ -90,6 +93,77 @@ class TestTokenStats:
         got = [s.context_entropy for s in compute_token_stats(corpus, spec)]
         assert got[vocab.id_of("T" * 8)] == 1.0
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def loop_token_stats(corpus, spec):
+    """Frequencies and successor entropies as compute_token_stats found them
+    before it summed rows with bincount: one bincount per record, one masked
+    row sum per left token."""
+    size = len(spec.vocab)
+    freq = np.zeros(size, dtype=np.int64)
+    pair_keys = []
+    for seq in corpus:
+        ids = tokenize(seq, spec)
+        freq += np.bincount(ids, minlength=size)
+        if ids.size >= 2:
+            pair_keys.append(ids[:-1].astype(np.uint64) * size + ids[1:].astype(np.uint64))
+    entropy = np.zeros(size, dtype=np.float64)
+    if pair_keys:
+        keys, counts = np.unique(np.concatenate(pair_keys), return_counts=True)
+        lefts = keys // size
+        for left in np.unique(lefts):
+            sel = counts[lefts == left].astype(np.float64)
+            probs = sel / sel.sum()
+            entropy[left] = float(-(probs * np.log2(probs)).sum())
+    return freq, entropy
+
+
+def assert_matches_loop(corpus, spec):
+    stats = compute_token_stats(corpus, spec)
+    freq, entropy = loop_token_stats(corpus, spec)
+    got = np.array([s.context_entropy for s in stats])
+    assert [s.frequency for s in stats] == freq.tolist()
+    # exact, not approximate: the CSV prints 10 significant digits of these
+    assert np.array_equal(got, entropy)
+    assert not np.signbit(got).any()
+
+
+_CORPUS = st.lists(st.text(alphabet="ACGTN", max_size=120), max_size=6)
+_BPE = bpe_train([DnaSequence("ACGTTGCATTACGGATACGTNNACGTAAACCCGGGTTT" * 8)], 24)
+
+
+class TestTokenStatsAgainstLoop:
+    @given(_CORPUS, st.integers(1, 4), st.sampled_from(["kmer", "word"]), st.sampled_from(N_MODES))
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_width_vocabularies(self, texts, k, kind, n_mode):
+        vocab = build_kmer_vocab(k, include_n_tokens=n_mode == "seg_n", kind=kind)
+        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=k % 2 == 0)
+        assert_matches_loop([DnaSequence(t) for t in texts], spec)
+
+    @given(_CORPUS)
+    @settings(max_examples=40, deadline=None)
+    def test_bpe_vocabulary(self, texts):
+        assert_matches_loop([DnaSequence(t) for t in texts], TokenizerSpec(_BPE))
+
+    @pytest.mark.parametrize("k,kind", [(2, "word"), (3, "word"), (6, "kmer")])
+    def test_rows_with_many_successors(self, k, kind):
+        # word vocabularies and the UNK row give rows of 8 to 64 successors,
+        # the ones .sum() adds pairwise
+        rng = np.random.default_rng(k)
+        texts = ["".join(rng.choice(list("ACGTN"), p=[0.24] * 4 + [0.04], size=3000)) for _ in range(3)]
+        spec = TokenizerSpec(build_kmer_vocab(k, kind=kind))
+        corpus = [DnaSequence(t) for t in texts]
+        assert_matches_loop(corpus, spec)
+        pairs = {(int(a), int(b)) for ids in map(lambda s: tokenize(s, spec), corpus) for a, b in zip(ids, ids[1:])}
+        assert max(Counter(left for left, _ in pairs).values()) >= 8
+
+    @pytest.mark.parametrize("counts", [[4, 5, 7, 8, 1, 2, 7, 8], [6, 7, 1, 7, 4, 5, 6, 3, 8]])
+    def test_row_whose_sum_order_matters(self, counts):
+        # successor counts whose entropy terms sum to different floats one
+        # by one and pairwise
+        vocab = build_kmer_vocab(2, kind="word")
+        corpus = [DnaSequence("AA" + vocab.tokens[right]) for right, c in enumerate(counts) for _ in range(c)]
+        assert_matches_loop(corpus, TokenizerSpec(vocab))
 
 
 class TestBuckets:
