@@ -35,7 +35,7 @@ def read_fasta(path) -> Iterator[DnaSequence]:
             pos = 0
             while pos < len(block):
                 # ``pos`` is always at the start of a line
-                if block[pos] == 0x3E:  # b">"
+                if block.startswith(b">", pos):
                     if record_id is not None:
                         yield _record(path, record_id, parts, body_line)
                     end = block.find(b"\n", pos)
@@ -53,7 +53,8 @@ def read_fasta(path) -> Iterator[DnaSequence]:
                 span = block[pos:end]
                 if record_id is None:
                     if span.strip(b"\r\n"):
-                        _body_lines(path, span, lineno, in_record=False)
+                        stray = next(i for i, line in enumerate(span.split(b"\n")) if line.rstrip(b"\r"))
+                        raise DataError(f"{path}: sequence data before any header on line {lineno + stray}")
                 else:
                     parts.append(span)
                 lineno += span.count(b"\n")
@@ -91,15 +92,13 @@ def _record(path, record_id: str, parts: list[bytes], body_line: int) -> DnaSequ
     return DnaSequence(_body_lines(path, raw, body_line).decode("ascii"), source_id=record_id)
 
 
-def _body_lines(path, raw: bytes, lineno: int, in_record: bool = True) -> bytes:
+def _body_lines(path, raw: bytes, lineno: int) -> bytes:
     """The bases of body lines ``raw`` starting at line ``lineno``, checked one line at a time."""
     chunks: list[bytes] = []
     for lineno, line in enumerate(raw.split(b"\n"), lineno):
         line = line.rstrip(b"\r")
         if not line:
             continue
-        if not in_record:
-            raise DataError(f"{path}: sequence data before any header on line {lineno}")
         body = line.upper()
         if body.translate(None, delete=_VALID):
             bad = next(bytes([b]) for b in body if b not in _VALID)

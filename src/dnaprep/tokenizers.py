@@ -557,9 +557,9 @@ def decode_ids(ids, vocab: Vocabulary) -> str:
 
 # -- parallel encoding ---------------------------------------------------------
 
-# Fewest windows worth a thread: on a 2-vCPU host, threads=2 against the
-# serial encoder ran at 0.8x with 0.5 M-window chunks, 0.84-1.36x with 1 M
-# and 1.2x with 2 M (6-mers, median of repeated calls).
+# Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
+# 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
+# 1 M and 1.18-1.21x with 2 M (6-mers, three medians of repeated calls).
 _MIN_CHUNK = 1 << 20
 
 

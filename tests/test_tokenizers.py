@@ -300,8 +300,9 @@ class TestParallel:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        with mock.patch.object(tokenizers, "_MIN_CHUNK", 10), mock.patch.object(tokenizers, "ThreadPoolExecutor", Pool):
-            for n_windows, threads in [(19, 8), (20, 8), (35, 8), (1000, 3), (500, 1)]:
-                bases = ("ACGT" * n_windows)[: n_windows + 2]
-                kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
+        with mock.patch.object(tokenizers, "_MIN_CHUNK", 10):
+            with mock.patch.object(tokenizers, "ThreadPoolExecutor", Pool):
+                for n_windows, threads in [(19, 8), (20, 8), (35, 8), (1000, 3), (500, 1)]:
+                    bases = ("ACGT" * n_windows)[: n_windows + 2]
+                    kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
         assert pools == [2, 3, 3]

@@ -154,7 +154,10 @@ class TestTokenStatsAgainstLoop:
         spec = TokenizerSpec(build_kmer_vocab(k, kind=kind))
         corpus = [DnaSequence(t) for t in texts]
         assert_matches_loop(corpus, spec)
-        pairs = {(int(a), int(b)) for ids in map(lambda s: tokenize(s, spec), corpus) for a, b in zip(ids, ids[1:])}
+        pairs = set()
+        for seq in corpus:
+            ids = tokenize(seq, spec).tolist()
+            pairs.update(zip(ids, ids[1:]))
         assert max(Counter(left for left, _ in pairs).values()) >= 8
 
     @pytest.mark.parametrize("counts", [[4, 5, 7, 8, 1, 2, 7, 8], [6, 7, 1, 7, 4, 5, 6, 3, 8]])
