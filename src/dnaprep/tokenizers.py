@@ -53,7 +53,6 @@ _CODE_TABLE = bytes.maketrans((NUCLEOTIDES + N_CHAR).encode("ascii"), bytes(rang
 
 _ACGT_SET = frozenset(NUCLEOTIDES)
 _BASE_VALUE = {c: i for i, c in enumerate(NUCLEOTIDES)}
-_BASE_BYTES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))
 _N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 
@@ -305,7 +304,7 @@ class _BpeState:
         nxt: list[int] = []
         for run in runs:
             start, end = len(tok), len(tok) + len(run)
-            tok.extend(run.encode("ascii").translate(_BASE_BYTES))
+            tok.extend(run.encode("ascii").translate(_CODE_TABLE))
             prv.extend(range(start - 1, end - 1))
             nxt.extend(range(start + 1, end + 1))
             prv[start] = nxt[end - 1] = -1
