@@ -164,6 +164,7 @@ class TestBlockReaderAgainstLineReader:
         with mock.patch.object(fasta, "_BLOCK", block):
             got = outcome(read_fasta, path)
         assert got == outcome(line_reader, path)
+        assert got[1] is not None
 
     @pytest.mark.parametrize(
         "text, message",
