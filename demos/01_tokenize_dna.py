@@ -13,7 +13,6 @@ from dnaprep import (
     build_kmer_vocab,
     decode_ids,
     kmer_tokenize,
-    segment_with_n,
     word_tokenize,
 )
 
@@ -44,7 +43,8 @@ print("as_unk:", [v3.tokens[i] for i in kmer_tokenize(messy, TokenizerSpec(v3, n
 print("drop:  ", [v3.tokens[i] for i in kmer_tokenize(messy, TokenizerSpec(v3, n_mode="drop"))])
 vn = build_kmer_vocab(3, include_n_tokens=True)
 print("seg_n: ", [vn.tokens[i] for i in kmer_tokenize(messy, TokenizerSpec(vn, n_mode="seg_n"))])
-print("segment_with_n tiling:", segment_with_n(messy, 3))
+wn = build_kmer_vocab(3, include_n_tokens=True, kind="word")
+print("word seg_n tiling:", [wn.tokens[i] for i in word_tokenize(messy, TokenizerSpec(wn, n_mode="seg_n"))])
 
 # BPE learns merges from data. Train a tiny vocabulary on a synthetic
 # corpus and watch encode/decode round-trip exactly.

@@ -17,7 +17,6 @@ from .core import (
     Vocabulary,
     build_kmer_vocab,
     bpe_vocab_from_merges,
-    rc_label,
     reverse_complement,
 )
 from .errors import ConfigError, ConstraintError, DataError, DnaPrepError, ResourceLimitError
@@ -71,7 +70,6 @@ from .tokenizers import (
     decode_ids,
     kmer_tokenize,
     kmer_tokenize_parallel,
-    segment_with_n,
     tokenize,
     word_tokenize,
 )
@@ -83,75 +81,3 @@ from .vocabstats import (
     cull_vocab,
     remap_ids,
 )
-
-__all__ = [
-    "__version__",
-    "BPE",
-    "CULL_TOKEN",
-    "KMER",
-    "WORD",
-    "DnaSequence",
-    "Vocabulary",
-    "build_kmer_vocab",
-    "bpe_vocab_from_merges",
-    "rc_label",
-    "reverse_complement",
-    "ConfigError",
-    "ConstraintError",
-    "DataError",
-    "DnaPrepError",
-    "ResourceLimitError",
-    "read_fasta",
-    "GuidingTargets",
-    "csp_targets",
-    "ftm_targets",
-    "mst_apply",
-    "sop_transform",
-    "LeakageReport",
-    "candidate_space_size",
-    "empirical_plan_leakage",
-    "enumerate_consistent_completions",
-    "leakage_ratio",
-    "leakage_report",
-    "masked_run_window",
-    "max_entropy_ratio",
-    "MODE_FIXED",
-    "MODE_FLAWED",
-    "MaskConfig",
-    "MaskPlan",
-    "neighbor_mask",
-    "select_targets",
-    "verify_no_leakage",
-    "CriteriaReport",
-    "RunRecord",
-    "ScalingRecord",
-    "criteria_report",
-    "dataset_sigma",
-    "ols_fit",
-    "shapiro_wilk",
-    "stability_filter",
-    "validity_filter",
-    "PipelineConfig",
-    "build_record",
-    "iter_windows",
-    "run_pipeline",
-    "N_MODE_AS_UNK",
-    "N_MODE_DROP",
-    "N_MODE_SEG",
-    "TokenizerSpec",
-    "bpe_encode",
-    "bpe_train",
-    "bpe_train_sizes",
-    "decode_ids",
-    "kmer_tokenize",
-    "kmer_tokenize_parallel",
-    "segment_with_n",
-    "tokenize",
-    "word_tokenize",
-    "CullSpec",
-    "TokenStats",
-    "bucket_tokens",
-    "compute_token_stats",
-    "cull_vocab",
-    "remap_ids",
-]

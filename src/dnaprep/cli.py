@@ -66,7 +66,12 @@ def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MASK_MODES, default=MODE_FIXED)
     sub.add_argument("--seed", type=int, default=None, help="master seed (env DNAPREP_SEED)")
     sub.add_argument("--window", type=int, default=512, help="max window length in bases")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (env DNAPREP_THREADS)")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility; mask/guide run on one thread (env DNAPREP_THREADS)",
+    )
 
 
 def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]) -> PipelineConfig:

@@ -247,11 +247,6 @@ class Vocabulary:
             return cls.from_json_bytes(fh.read())
 
 
-def rc_label(token_id: int, vocab: Vocabulary) -> int:
-    """Functional form of :meth:`Vocabulary.rc_label`."""
-    return vocab.rc_label(token_id)
-
-
 def _with_specials(tokens: list[str]) -> tuple[tuple[str, ...], dict[str, int]]:
     base = len(tokens)
     specials = {name: base + i for i, name in enumerate(SPECIAL_NAMES)}

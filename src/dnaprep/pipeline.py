@@ -2,10 +2,12 @@
 
 One JSONL record is emitted per window (sequences longer than the window
 length are split before masking, each window keeping its own record).
-Output is byte-identical for identical (inputs, config, seed) regardless
-of worker-thread count: every random draw derives from (master_seed,
-window ordinal), windows are processed in input order, and the record
-field order is fixed.
+Output is byte-identical for identical (inputs, config, seed): every
+random draw derives from (master_seed, window ordinal), windows are
+processed in input order, and the record field order is fixed. Windows
+are processed serially; ``PipelineConfig.threads`` is accepted and
+checked but no longer parallelizes anything, because a thread pool over
+windows ran slower than one thread (the work holds the GIL).
 
 Each run also writes ``<output>.manifest.json`` echoing the resolved
 configuration, the tool version, and content digests of inputs and
@@ -17,13 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +62,7 @@ class PipelineConfig:
     guiding: tuple[str, ...] = ()
     sop_reverse_prob: float = 0.01
     window: int = 512
-    threads: int = 1
+    threads: int = 1  # checked, then unused: windows run serially (see module docstring)
 
     def __post_init__(self) -> None:
         self.guiding = tuple(self.guiding)
@@ -96,37 +95,34 @@ def iter_windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequen
             yield DnaSequence(piece, source_id=f"{seq.source_id}:{start}-{start + len(piece)}")
 
 
-_TABLE_MAX = 1 << 17  # both tables at this size hold 17 MB
+_SEP = b";"  # the separator row's text; no field text holds it
 
 
 @lru_cache(maxsize=4)
-def _decimal(size: int) -> tuple[Callable[[int], str], Callable[[int], str]]:
-    """Text of a value below ``size``: its decimal digits, and the same as a ``,"v":`` key.
+def _text_table(size: int) -> np.ndarray:
+    """The line encoder's text rows, NUL-padded to a multiple of 8 bytes.
 
-    The text comes from two lists of every value's text, built once per
-    size; a list lookup is about three times faster than ``str``. Past
-    ``_TABLE_MAX`` entries the lists would outgrow 17 MB (a 9-mer
-    vocabulary needs 2^19), so the text is formatted per value.
+    Row ``v`` holds ``v,`` and row ``size + v`` holds ``"v":`` for every
+    ``v`` below ``size``; row ``2 * size`` is the separator. Digits are
+    written at a fixed width, with NULs for leading zeros, so every row is
+    made by array arithmetic; the encoder deletes the NULs. Rows are
+    returned as uint64 words, which numpy gathers far faster than bytes.
     """
-    if size > _TABLE_MAX:
-        return str, ',"{}":'.format
-    return [str(i) for i in range(size)].__getitem__, [f',"{i}":' for i in range(size)].__getitem__
-
-
-def _ints(values: np.ndarray, num) -> str:
-    return ",".join(map(num, values.tolist()))
-
-
-def _labels(positions: np.ndarray, labels: np.ndarray, num, key) -> str:
-    return "".join(map(add, map(key, positions.tolist()), map(num, labels.tolist())))[1:]
-
-
-def _targets(targets: GuidingTargets, num, key) -> str:
-    pos, labels = targets.position_array, targets.label_array
-    return (
-        f'{{"task":"{targets.task}","positions":[{_ints(pos, num)}],'
-        f'"labels":{{{_labels(pos, labels, num, key)}}}}}'
-    )
+    digits = len(str(size - 1))
+    values = np.arange(size)
+    table = np.zeros((2 * size + 1, -(-(digits + 3) // 8) * 8), dtype=np.uint8)
+    items, keys = table[:size], table[size : 2 * size]
+    for col in range(digits):
+        place = 10 ** (digits - 1 - col)
+        digit = values // place % 10 + ord("0")
+        if place > 1:
+            digit[values < place] = 0
+        items[:, col] = keys[:, col + 1] = digit
+    items[:, digits] = ord(",")
+    keys[:, 0] = keys[:, digits + 1] = ord('"')
+    keys[:, digits + 2] = ord(":")
+    table[2 * size, 0] = _SEP[0]
+    return table.view(np.uint64)
 
 
 def build_record(
@@ -149,29 +145,52 @@ def build_record(
     targets = select_targets(ids, mask_cfg, ordinal)
     plan = neighbor_mask(ids, targets, mask_cfg)
     # Every value written is a position below ids.size or a token id below
-    # len(vocab); the size is rounded up so windows of any length share text.
-    num, key = _decimal(1 << (max(ids.size, len(spec.vocab)) - 1).bit_length())
+    # len(vocab); the position bound is rounded up so that windows of any
+    # length share one table.
+    size = max(len(spec.vocab), 1 << (ids.size - 1).bit_length())
+    sep = np.array([2 * size])
+    rows: list[np.ndarray] = []
+
+    def add_field(values: np.ndarray) -> None:
+        rows.extend((values, sep))
+
+    def add_labels(positions: np.ndarray, values: np.ndarray) -> None:
+        pairs = np.empty(2 * positions.size, dtype=np.int64)
+        pairs[0::2] = positions + size
+        pairs[1::2] = values
+        add_field(pairs)
+
+    labeled = np.flatnonzero(plan.label_mask)
+    add_field(np.flatnonzero(plan.in_mask))
+    add_field(np.flatnonzero(plan.target_mask))
+    add_labels(labeled, plan.original_ids[labeled])
     input_ids = plan.input_ids
-    guiding: list[str] = []
+    guiding: list[bytes] = []
+
+    def attach(task: GuidingTargets) -> None:
+        guiding.append(b'{"task":"%s","positions":[%%s],"labels":{%%s}}' % task.task.encode())
+        add_field(task.position_array)
+        add_labels(task.position_array, task.label_array)
+
     if TASK_FTM in cfg.guiding:
-        guiding.append(_targets(ftm_targets(plan), num, key))
+        attach(ftm_targets(plan))
     if TASK_MST in cfg.guiding:
         input_ids, mst = mst_apply(ids, plan)
-        guiding.append(_targets(mst, num, key))
+        attach(mst)
     if sop_label is not None:
-        guiding.append(f'{{"task":"{TASK_SOP}","label":{sop_label}}}')
+        guiding.append(b'{"task":"%s","label":%d}' % (TASK_SOP.encode(), sop_label))
     if TASK_CSP in cfg.guiding:
-        guiding.append(_targets(csp_targets(plan, spec.vocab), num, key))
-    m = np.flatnonzero(plan.target_mask)
-    m_in = np.flatnonzero(plan.in_mask)
-    labeled = np.flatnonzero(plan.label_mask)
-    line = (
-        f'{{"seq_id":{json.dumps(seq.source_id)},"input_ids":[{_ints(input_ids, num)}],'
-        f'"m_in":[{_ints(m_in, num)}],"m":[{_ints(m, num)}],'
-        f'"labels":{{{_labels(labeled, plan.original_ids[labeled], num, key)}}},'
-        f'"guiding":[{",".join(guiding)}]}}\n'
+        attach(csp_targets(plan, spec.vocab))
+    # input_ids leads the line but is final only after MST
+    text = np.take(_text_table(size), np.concatenate([input_ids, sep, *rows]), axis=0)
+    text = text.tobytes().translate(None, b"\0")
+    fields = [part[:-1] for part in text.split(_SEP)[:-1]]
+    template = (
+        b'{"seq_id":%s,"input_ids":[%s],"m_in":[%s],"m":[%s],"labels":{%s},"guiding":['
+        + b",".join(guiding)
+        + b"]}\n"
     )
-    return line.encode("ascii")
+    return template % (json.dumps(seq.source_id).encode("ascii"), *fields)
 
 
 def _sha256(path) -> str:
@@ -221,34 +240,14 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
         from .fasta import read_fasta
 
         sequences = read_fasta(cfg.fasta_path)
-    windows = enumerate(iter_windows(sequences, cfg.window))
-
-    def work(item: tuple[int, DnaSequence]) -> bytes:
-        ordinal, seq = item
-        return build_record(seq, ordinal, spec, mask_cfg, cfg)
-
     manifest_path = cfg.out_path + ".manifest.json"
     n_records = 0
     # the batch is renamed into place before its manifest
     with _atomic_output(manifest_path) as manifest_tmp, _atomic_output(cfg.out_path) as batch_tmp:
         with open(batch_tmp, "xb") as out:
-            if cfg.threads > 1:
-                # Bounded look-ahead keeps memory independent of corpus size
-                # while results are still written in input order.
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    pending: deque = deque()
-                    for item in windows:
-                        pending.append(pool.submit(work, item))
-                        if len(pending) >= cfg.threads * 4:
-                            out.write(pending.popleft().result())
-                            n_records += 1
-                    while pending:
-                        out.write(pending.popleft().result())
-                        n_records += 1
-            else:
-                for item in windows:
-                    out.write(work(item))
-                    n_records += 1
+            for ordinal, seq in enumerate(iter_windows(sequences, cfg.window)):
+                out.write(build_record(seq, ordinal, spec, mask_cfg, cfg))
+                n_records += 1
 
         manifest = {
             "tool": "dnaprep",

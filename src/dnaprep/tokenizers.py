@@ -238,33 +238,6 @@ def _cover_n_run(length: int, priority: tuple[str, ...]) -> list[str]:
     return out
 
 
-def segment_with_n(seq: DnaSequence, k: int, priority: Iterable[str] | None = None) -> list[str]:
-    """Segment a sequence into width-k tiles and N-run tokens.
-
-    Non-N stretches are tiled in steps of k (sub-k remainders dropped);
-    each maximal N run is covered greedily by the longest priority token
-    that fits, residual N's falling through to shorter tokens. ``priority``
-    defaults to the homogeneous runs ``N*k .. N`` and must be sorted by
-    decreasing length.
-    """
-    if priority is None:
-        priority = tuple(N_CHAR * run for run in range(k, 0, -1))
-    else:
-        priority = tuple(priority)
-        if any(set(t) != {N_CHAR} for t in priority):
-            raise ConfigError("priority tokens must be homogeneous N runs")
-        if list(priority) != sorted(priority, key=len, reverse=True):
-            raise ConfigError("priority must be sorted by decreasing token length")
-    out: list[str] = []
-    for start, end, is_n in _iter_n_runs(seq.bases):
-        if is_n:
-            out.extend(_cover_n_run(end - start, priority))
-        else:
-            for pos in range(start, end - k + 1, k):
-                out.append(seq.bases[pos : pos + k])
-    return out
-
-
 def _segmented_ids(bases: str, vocab: Vocabulary, stride: int) -> np.ndarray:
     """seg_n core: tokenize non-N stretches with the tokenizer's own stride."""
     priority = vocab.n_run_tokens()

@@ -10,7 +10,6 @@ from dnaprep import (
     ConfigError,
     DnaSequence,
     build_kmer_vocab,
-    rc_label,
     reverse_complement,
 )
 from dnaprep.core import CULL_TOKEN, SPECIAL_TOKENS, Vocabulary, bpe_vocab_from_merges
@@ -85,11 +84,11 @@ class TestKmerVocab:
 class TestRcLabel:
     def test_single_nucleotide(self):
         vocab = build_kmer_vocab(1)
-        assert rc_label(vocab.id_of("A"), vocab) == vocab.id_of("T")
+        assert vocab.rc_label(vocab.id_of("A")) == vocab.id_of("T")
 
     def test_k3(self):
         vocab = build_kmer_vocab(3)
-        assert vocab.tokens[rc_label(vocab.id_of("ATC"), vocab)] == "GAT"
+        assert vocab.tokens[vocab.rc_label(vocab.id_of("ATC"))] == "GAT"
 
     def test_involution_over_all_ids(self):
         vocab = build_kmer_vocab(3)

@@ -64,7 +64,7 @@ CASES = {
     "k3_culled_guide": ("k3_culled", dict(guiding=("csp", "ftm", "mst"), p=0.3)),
     "word3_guide": ("word3", dict(guiding=NO_FTM, sop_reverse_prob=0.5, p=0.3)),
     "bpe_guide": ("bpe", dict(guiding=NO_FTM, sop_reverse_prob=0.5, p=0.3)),
-    # 262149 tokens: too many for the encoder's decimal-text tables
+    # 262149 tokens: the largest vocabulary, and the largest encoder text table
     "k9_guide_all": ("k9", dict(guiding=ALL_TASKS, sop_reverse_prob=0.5, p=0.2)),
 }
 

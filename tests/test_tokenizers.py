@@ -1,3 +1,4 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -18,7 +19,6 @@ from dnaprep import (
     decode_ids,
     kmer_tokenize,
     kmer_tokenize_parallel,
-    segment_with_n,
     word_tokenize,
 )
 from dnaprep import tokenizers
@@ -26,6 +26,35 @@ from dnaprep.core import bpe_vocab_from_merges
 
 acgt = st.text(alphabet="ACGT", max_size=120)
 dna = st.text(alphabet="ACGTN", max_size=120)
+
+
+def segment_with_n(seq, k, priority=None):
+    """String-level oracle of ``tokenizers._segmented_ids`` at stride k.
+
+    Non-N stretches are tiled in steps of k (sub-k remainders dropped);
+    each maximal N run is covered greedily by the longest priority token
+    that fits, residual N's falling through to shorter tokens. ``priority``
+    defaults to the homogeneous runs ``N*k .. N`` and must be sorted by
+    decreasing length.
+    """
+    if priority is None:
+        priority = ["N" * run for run in range(k, 0, -1)]
+    if any(set(t) != {"N"} for t in priority):
+        raise ConfigError("priority tokens must be homogeneous N runs")
+    if list(priority) != sorted(priority, key=len, reverse=True):
+        raise ConfigError("priority must be sorted by decreasing token length")
+    out = []
+    for run in re.findall("N+|[^N]+", seq.bases):
+        if run[0] == "N":
+            rem = len(run)
+            for tok in priority:
+                reps, rem = divmod(rem, len(tok))
+                out.extend([tok] * reps)
+            if rem:
+                raise DataError(f"N run residue of {rem} not coverable by {priority}")
+        else:
+            out.extend(run[pos : pos + k] for pos in range(0, len(run) - k + 1, k))
+    return out
 
 
 def toks(vocab, ids):
@@ -139,6 +168,13 @@ class TestSegmentWithN:
             idx = bases.find(part, pos)
             assert idx >= 0 and idx - pos <= k - 1
             pos = idx + len(part)
+
+    @given(dna, st.integers(1, 4))
+    def test_segmented_ids_match_oracle(self, bases, k):
+        vocab = build_kmer_vocab(k, include_n_tokens=True, kind="word")
+        got = tokenizers._segmented_ids(bases, vocab, k)
+        want = [vocab.id_of(t) for t in segment_with_n(DnaSequence(bases), k, vocab.n_run_tokens())]
+        assert got.tolist() == want
 
     def test_seg_mode_word_matches_algorithm(self):
         vocab = build_kmer_vocab(2, include_n_tokens=True, kind="word")
