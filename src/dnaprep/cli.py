@@ -163,7 +163,8 @@ def _cmd_build_vocab(args) -> int:
         if not args.fasta or not args.target_size:
             raise ConfigError("--fasta and --target-size are required for BPE training")
         vocab = bpe_train(read_fasta(args.fasta), args.target_size)
-    vocab.save(args.out)
+    with _atomic_output(args.out) as tmp:
+        vocab.save(tmp)
     return EXIT_OK
 
 
@@ -245,7 +246,8 @@ def _cmd_vocab_stats(args) -> int:
     accuracy = load_accuracy_csv(args.accuracy, vocab) if args.accuracy else None
     stats = compute_token_stats(read_fasta(args.fasta), spec, accuracy=accuracy)
     buckets = bucket_tokens(stats) if accuracy else None
-    write_stats_csv(args.out, stats, buckets)
+    with _atomic_output(args.out) as tmp:
+        write_stats_csv(tmp, stats, buckets)
     return EXIT_OK
 
 
@@ -280,7 +282,7 @@ def _cmd_benchstats(args) -> int:
     print(report.to_table())
     print(f"selected: {', '.join(report.selected) if report.selected else '(none)'}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with _atomic_output(args.out) as tmp, open(tmp, "x") as fh:
             fh.write(report.to_json() + "\n")
     return EXIT_OK
 

@@ -246,13 +246,13 @@ def _segmented_ids(bases: str, vocab: Vocabulary, stride: int) -> np.ndarray:
     for start, end, is_n in _iter_n_runs(bases):
         if is_n:
             covered = _cover_n_run(end - start, priority)
-            parts.append(np.array([vocab.id_of(t) for t in covered], dtype=np.int64))
+            parts.append(np.array([vocab.id_of(t) for t in covered], dtype=np.int32))
         else:
             vals, _ = _window_values(_codes(bases[start:end]), vocab.k, stride)
             parts.append(vals if lut is None else lut[vals])
     if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts).astype(np.int64)
+        return np.empty(0, dtype=np.int32)
+    return np.concatenate(parts)
 
 
 # -- BPE training -------------------------------------------------------------
@@ -519,7 +519,7 @@ def bpe_encode(
                 if table[t] is None:
                     raise DataError(f"token {state.strings[t]!r} missing from BPE vocabulary")
                 ids.append(table[t])
-    return _wrap_sentinels(np.asarray(ids, dtype=np.int64), vocab, add_sentinels)
+    return _wrap_sentinels(np.asarray(ids, dtype=np.int32), vocab, add_sentinels)
 
 
 def decode_ids(ids, vocab: Vocabulary) -> str:

@@ -15,6 +15,7 @@ encoding only at positions whose token was removed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,11 @@ from .tokenizers import TokenizerSpec, tokenize
 FREQ_BANDS = ("low", "mid", "high")
 ACC_BANDS = ("low", "high")
 CULL_FRACTION_MAX = 0.10
+
+# Successor keys gathered across records before one np.unique counts them
+# into the table of distinct pairs: the buffer never holds more than this
+# many keys plus one record's.
+_PAIR_BUFFER = 1 << 20
 
 
 @dataclass
@@ -54,21 +60,36 @@ def compute_token_stats(
     freq = np.zeros(size, dtype=np.int64)
     # the narrowest unsigned type holding every successor key left * size + right
     key_type = np.min_scalar_type(size * size)
-    pair_keys: list[np.ndarray] = []
+    # the distinct successor pairs seen so far, sorted, with their counts
+    keys = np.empty(0, dtype=key_type)
+    counts = np.empty(0, dtype=np.int64)
+    buffer: list[np.ndarray] = []
+    buffered = 0
     for seq in corpus:
+        # each record-long array is dropped as soon as it is used, so none
+        # is held while the next record is read or the buffer is counted
         ids = tokenize(seq, spec)
+        del seq
         if ids.size:
             # every other token is the left side of one successor pair,
             # counted with the pairs below
             freq[ids[-1]] += 1
         if ids.size >= 2:
-            keys = ids[:-1].astype(key_type)
-            keys *= size
-            keys += ids[1:].astype(key_type)
-            pair_keys.append(keys)
+            pairs = ids[:-1].astype(key_type)
+            pairs *= size
+            # casts the right ids a block at a time, not in one record-long copy
+            np.add(pairs, ids[1:], out=pairs, dtype=key_type, casting="unsafe")
+            del ids
+            buffer.append(pairs)
+            buffered += pairs.size
+            del pairs
+            if buffered >= _PAIR_BUFFER:
+                keys, counts = _merge_pairs(keys, counts, buffer)
+                buffered = 0
+    if buffer:
+        keys, counts = _merge_pairs(keys, counts, buffer)
     entropy = np.zeros(size, dtype=np.float64)
-    if pair_keys:
-        keys, counts = np.unique(np.concatenate(pair_keys), return_counts=True)
+    if keys.size:
         lefts = (keys // size).astype(np.intp)  # sorted, so each row's successors are contiguous
         counts = counts.astype(np.float64)
         totals = np.bincount(lefts, weights=counts, minlength=size)  # exact: integers below 2**53
@@ -105,16 +126,42 @@ def compute_token_stats(
     ]
 
 
+def _merge_pairs(keys: np.ndarray, counts: np.ndarray, buffer: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Count the buffered successor keys into the sorted (keys, counts) table.
+
+    Empties ``buffer`` as it reads it, so the buffered arrays are freed
+    before their keys are sorted.
+    """
+    new = buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)
+    buffer.clear()
+    new, new_counts = np.unique(new, return_counts=True)
+    merged, inverse = np.unique(np.concatenate((keys, new)), return_inverse=True)
+    # float sums of integers below 2**53 are exact
+    totals = np.bincount(inverse, weights=np.concatenate((counts, new_counts)), minlength=merged.size)
+    return merged, totals.astype(np.int64)
+
+
 def load_accuracy_csv(path, vocab: Vocabulary) -> dict[int, float]:
-    """Read a token_id,accuracy CSV (header row optional)."""
+    """Read a token_id,accuracy CSV (header row optional).
+
+    A row that is not an integer id and a finite accuracy is a DataError
+    naming its line.
+    """
     out: dict[int, float] = {}
     offenders: list[str] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() in ("token_id", ""):
                 continue
-            tid = int(row[0])
-            acc = float(row[1])
+            try:
+                tid, acc = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected token_id,accuracy, got {','.join(row)!r}"
+                ) from None
+            if not math.isfinite(acc):
+                raise DataError(f"{path}: line {reader.line_num}: accuracy {row[1].strip()!r} is not finite")
             if not 0 <= tid < len(vocab):
                 offenders.append(row[0])
                 continue

@@ -41,6 +41,10 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh]
 
 
+def _raise_no_space(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
 def find_seed_selecting(vocab, n_tokens, want, p=0.11, max_seed=20000):
     """Smallest master seed whose ordinal-0 draw picks exactly ``want``."""
     toks = np.array(
@@ -363,6 +367,92 @@ class TestCli:
         blocker.mkdir()
         assert main(args[:-3] + ["3,4,5", "--out", str(out)]) == 2
         assert sorted(out_dir.iterdir()) == [out, blocker] and out.read_bytes() == before
+
+    def _keeps_earlier_output(self, monkeypatch, args, out, break_write):
+        """Run ``args`` once, then again with ``break_write`` applied: the second
+        run must exit 2 and leave the first output as the only file."""
+        assert main(args) == 0
+        before = out.read_bytes()
+        break_write(monkeypatch)
+        assert main(args) == 2
+        assert list(out.parent.iterdir()) == [out] and out.read_bytes() == before
+
+    def test_failed_build_vocab_keeps_earlier(self, tmp_path, monkeypatch, capsys):
+        from dnaprep import Vocabulary
+
+        def break_write(mp):
+            # Vocabulary.save opens its file, then asks for the bytes
+            mp.setattr(Vocabulary, "to_json_bytes", _raise_no_space)
+
+        out = tmp_path / "out" / "v.json"
+        out.parent.mkdir()
+        args = ["build-vocab", "--kind", "kmer", "--k", "3", "--out", str(out)]
+        self._keeps_earlier_output(monkeypatch, args, out, break_write)
+
+    def test_failed_vocab_stats_keeps_earlier(self, tmp_path, vocab3_path, monkeypatch, capsys):
+        import csv
+
+        real_writer = csv.writer
+
+        def header_then_fail(fh, **kwargs):
+            writer = real_writer(fh, **kwargs)
+
+            class Writer:
+                rows = 0
+
+                def writerow(self, row):
+                    if self.rows:
+                        fh.flush()
+                        _raise_no_space()
+                    self.rows += 1
+                    writer.writerow(row)
+
+            return Writer()
+
+        out = tmp_path / "out" / "stats.csv"
+        out.parent.mkdir()
+        fasta = write_fasta(tmp_path, ">s\nACGTACGTTGCA\n")
+        args = ["vocab-stats", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out)]
+        self._keeps_earlier_output(
+            monkeypatch, args, out, lambda mp: mp.setattr(csv, "writer", header_then_fail)
+        )
+
+    def test_failed_benchstats_keeps_earlier(self, tmp_path, monkeypatch, capsys):
+        from dnaprep.benchstats import CriteriaReport
+
+        runs = tmp_path / "runs.csv"
+        runs.write_text(
+            "dataset_id,variant,seed,metric_value\n"
+            + "".join(f"d{i},pretrained,{s},{70 + i + s * 0.01}\n" for i in range(4) for s in range(3))
+            + "".join(f"d{i},baseline:cnn,0,{60 + i}\n" for i in range(4))
+        )
+        out = tmp_path / "out" / "report.json"
+        out.parent.mkdir()
+        args = ["benchstats", "--runs", str(runs), "--out", str(out)]
+        # the report is rendered after the output file is opened
+        self._keeps_earlier_output(
+            monkeypatch, args, out, lambda mp: mp.setattr(CriteriaReport, "to_json", _raise_no_space)
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("token_id,accuracy\n5\n", "line 2: expected token_id,accuracy, got '5'"),
+            ("token_id,accuracy\n0,0.5\n5,nan\n", "line 3: accuracy 'nan' is not finite"),
+            ("0,0.5\n5, inf\n", "line 2: accuracy 'inf' is not finite"),
+        ],
+        ids=["one_field", "nan", "inf"],
+    )
+    def test_malformed_accuracy_csv_is_a_data_error(self, tmp_path, vocab3_path, capsys, text, message):
+        accuracy = tmp_path / "acc.csv"
+        accuracy.write_text(text)
+        fasta = write_fasta(tmp_path, ">s\nACGTACGT\n")
+        out = tmp_path / "stats.csv"
+        args = ["vocab-stats", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out)]
+        assert main(args + ["--accuracy", str(accuracy)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError", "message": f"{accuracy}: {message}"}
+        assert not out.exists()
 
     def test_vocab_stats_writes_no_negative_zero_entropy(self, tmp_path, vocab3_path):
         # every 3-mer of ACGTACGT has one successor, so entropy 0

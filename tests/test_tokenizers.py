@@ -19,13 +19,21 @@ from dnaprep import (
     decode_ids,
     kmer_tokenize,
     kmer_tokenize_parallel,
+    tokenize,
     word_tokenize,
 )
 from dnaprep import tokenizers
-from dnaprep.core import bpe_vocab_from_merges
+from dnaprep.core import BPE, Vocabulary, _with_specials, bpe_vocab_from_merges
+from dnaprep.tokenizers import N_MODES
 
 acgt = st.text(alphabet="ACGT", max_size=120)
 dna = st.text(alphabet="ACGTN", max_size=120)
+
+
+def bpe_with_n_runs(vocab):
+    """``vocab`` with the N-run tokens NN and N added, which seg_n mode needs."""
+    tokens, specials = _with_specials(list(vocab.tokens[: vocab.n_nonspecial]) + ["NN", "N"])
+    return Vocabulary(kind=BPE, tokens=tokens, specials=specials, merges=vocab.merges)
 
 
 def segment_with_n(seq, k, priority=None):
@@ -342,3 +350,17 @@ class TestParallel:
                     bases = ("ACGT" * n_windows)[: n_windows + 2]
                     kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
         assert pools == [2, 3, 3]
+
+
+_BPE_N = bpe_with_n_runs(bpe_train([DnaSequence("ACGTTGCAACGTAAACCCGGGTTT" * 4)], 12))
+
+
+@pytest.mark.parametrize("sentinels", [False, True])
+@pytest.mark.parametrize("n_mode", N_MODES)
+@pytest.mark.parametrize("kind", ["kmer", "word", "bpe"])
+def test_ids_are_int32(kind, n_mode, sentinels):
+    vocab = _BPE_N if kind == "bpe" else build_kmer_vocab(3, include_n_tokens=True, kind=kind)
+    spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+    for bases in ("", "AC", "NNN", "ACGTNNNACGTTGCAN", "ACGTTGCAACGT"):
+        ids = tokenize(DnaSequence(bases), spec)
+        assert ids.dtype == np.int32, (bases, ids.dtype)

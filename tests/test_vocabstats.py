@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +26,11 @@ from dnaprep import (
     remap_ids,
     tokenize,
 )
+from dnaprep import vocabstats
 from dnaprep.core import CULL_TOKEN
 from dnaprep.tokenizers import N_MODES
 from dnaprep.vocabstats import write_stats_csv
+from test_tokenizers import bpe_with_n_runs
 
 V1 = build_kmer_vocab(1)
 V3 = build_kmer_vocab(3)
@@ -167,6 +174,74 @@ class TestTokenStatsAgainstLoop:
         vocab = build_kmer_vocab(2, kind="word")
         corpus = [DnaSequence("AA" + vocab.tokens[right]) for right, c in enumerate(counts) for _ in range(c)]
         assert_matches_loop(corpus, TokenizerSpec(vocab))
+
+
+_BPE_N = bpe_with_n_runs(_BPE)
+# empty records and records shorter than k next to longer ones
+_MIXED_CORPUS = st.lists(st.text(alphabet="ACGTN", max_size=4) | st.text(alphabet="ACGTN", max_size=120), max_size=8)
+
+
+class TestPairBuffer:
+    """Successor pairs are counted a buffer at a time and merged into one
+    table; any buffer size gives the whole-corpus result to the last bit."""
+
+    @given(
+        _MIXED_CORPUS,
+        st.sampled_from([1, 2, 3, 7, 1 << 20]),
+        st.integers(1, 4),
+        st.sampled_from(["kmer", "word", "bpe"]),
+        st.sampled_from(N_MODES),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_buffer_matches_whole_corpus(self, texts, buffer, k, kind, n_mode, sentinels):
+        if kind == "bpe":
+            vocab = _BPE_N if n_mode == "seg_n" else _BPE
+        else:
+            vocab = build_kmer_vocab(k, include_n_tokens=n_mode == "seg_n", kind=kind)
+        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+        with mock.patch.object(vocabstats, "_PAIR_BUFFER", buffer):
+            assert_matches_loop([DnaSequence(t) for t in texts], spec)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+    def test_peak_memory_does_not_grow_with_the_corpus(self):
+        # Each run is a fresh process that reads its own VmHWM; eight 1 Mbp
+        # records must peak where two do. Keeping every record's successor
+        # keys until the end costs about 13 MiB more per record.
+        peaks = {n: _peak_mib_of_token_stats(n) for n in (2, 8)}
+        assert peaks[8] - peaks[2] < 4, peaks
+
+
+_PEAK_SCRIPT = """
+import sys
+import numpy as np
+from dnaprep import DnaSequence, TokenizerSpec, build_kmer_vocab, compute_token_stats
+
+def records(n):
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        codes = np.frombuffer(b"ACGT", np.uint8)[rng.integers(0, 4, 1_000_000, dtype=np.uint8)]
+        codes[::97] = ord("N")
+        yield DnaSequence(codes.tobytes().decode("ascii"))
+
+compute_token_stats(records(int(sys.argv[1])), TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_mib_of_token_stats(records: int) -> float:
+    src = Path(__file__).resolve().parent.parent / "src"
+    # A fixed mmap threshold turns off glibc's adaptive one, which after the
+    # first large free serves arrays from the heap and keeps some freed
+    # blocks resident; VmHWM then follows the arrays the code holds. With
+    # the adaptive threshold the two peaks here differ by about 3 MiB.
+    env = dict(os.environ, PYTHONPATH=str(src), MALLOC_MMAP_THRESHOLD_="131072")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, str(records)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
 
 
 class TestBuckets:
