@@ -74,7 +74,7 @@ def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
     Returns the updated input ids and the targets; a sequence without
     special tokens yields empty targets.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     positions = np.flatnonzero(plan.special_mask)
     updated = plan.input_ids.copy()
     updated[positions] = plan.mask_id
@@ -90,7 +90,7 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
     """
     if not 0.0 <= reverse_prob <= 1.0:
         raise ConfigError(f"reverse_prob must be in [0, 1], got {reverse_prob}")
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     out = tokens.copy()
     body = np.flatnonzero(~special_mask(tokens, special_ids))
     if body.size < 2 or rng.random() >= reverse_prob:

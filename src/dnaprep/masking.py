@@ -11,8 +11,10 @@ Two modes are provided:
   k-floor(k/2)``, neighbor masking does not skip special tokens, and
   every input-masked position is labeled.
 
-All randomness derives from (master_seed, sequence ordinal), so plans are
-byte-identical regardless of how many worker threads produce them.
+All randomness derives from (master_seed, sequence ordinal): each window
+draws from its own generator, ``window_rng(master_seed, ordinal, *tag)``,
+which equals ``np.random.default_rng((master_seed, ordinal, *tag))``, so a
+window's plan does not depend on which windows were processed before it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class MaskConfig:
             raise ConfigError(f"neighborhood parameter k must be >= 1, got {self.k}")
         if self.mode not in MASK_MODES:
             raise ConfigError(f"unknown masking mode {self.mode!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     @classmethod
     def for_vocab(
@@ -146,22 +150,128 @@ def _cover(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return hits[start : start + mask.size]
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_RNG_CHUNK = 1024  # ordinals per cached table; chunks are aligned, so none straddles 2**32
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as numpy's SeedSequence reads it: 32-bit words, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _seed_words(master_seed: int, chunk: int, tag: tuple[int, ...]) -> np.ndarray:
+    """``SeedSequence((master_seed, o, *tag)).generate_state(4, np.uint64)`` per row.
+
+    Row ``i`` belongs to ordinal ``o = chunk * _RNG_CHUNK + i``. Only the
+    ordinal's low word differs between rows, so numpy's entropy mixing
+    runs once for the whole chunk, on uint32 arrays whose arithmetic wraps
+    as numpy's C code does.
+    """
+    low, *high = _uint32_words(chunk * _RNG_CHUNK)
+    entropy = [
+        *_uint32_words(master_seed),
+        np.arange(low, low + _RNG_CHUNK, dtype=np.uint32),
+        *high,
+        *(word for t in tag for word in _uint32_words(t)),
+    ]
+    entropy = [np.broadcast_to(np.uint32(word), _RNG_CHUNK) for word in entropy]
+    entropy += [np.zeros(_RNG_CHUNK, dtype=np.uint32)] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((_RNG_CHUNK, 2 * _POOL), dtype=np.uint32)
+    hash_const = _INIT_B
+    for col in range(2 * _POOL):
+        value = pool[col % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * np.uint32(hash_const)
+        state[:, col] = value ^ (value >> np.uint32(16))
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=1)
+def _generator_from_words():
+    """A function making ``Generator(PCG64(...))`` from one ``_seed_words`` row.
+
+    Built on first use, so that importing dnaprep does not import
+    numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """Hands PCG64 its four precomputed seed words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(_Words(words)))
+
+
+def window_rng(master_seed: int, ordinal: int, *tag: int):
+    """The generator ``np.random.default_rng((master_seed, ordinal, *tag))``.
+
+    Bit-identical to it, state and draws, but its seed words come from a
+    table cached per 1024 consecutive ordinals. Each call returns a new
+    generator. Negative arguments raise ``ValueError`` as numpy does.
+    """
+    chunk, row = divmod(ordinal, _RNG_CHUNK)
+    return _generator_from_words()(_seed_words(master_seed, chunk, tag)[row])
+
+
 def select_targets(tokens, cfg: MaskConfig, seq_ordinal: int) -> np.ndarray:
     """Independently select each non-special position with probability p.
 
-    The RNG stream is derived from (master_seed, seq_ordinal), so the
-    same sequence at the same ordinal always draws the same targets.
+    The draws come from ``window_rng(cfg.master_seed, seq_ordinal)``, one
+    per position, so the same tokens at the same ordinal always select
+    the same targets.
     """
     tokens = np.asarray(tokens)
-    rng = np.random.default_rng((cfg.master_seed, seq_ordinal))
-    draws = rng.random(tokens.size)
+    draws = window_rng(cfg.master_seed, seq_ordinal).random(tokens.size)
     picked = (draws < cfg.p) & ~special_mask(tokens, cfg.special_ids)
     return np.flatnonzero(picked)
 
 
 def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
     """Expand targets to their overlap neighborhood and build the plan."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     special = special_mask(tokens, cfg.special_ids)
     target = np.zeros(tokens.size, dtype=bool)
     target[np.asarray(m_positions, dtype=np.intp)] = True

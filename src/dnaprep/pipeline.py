@@ -41,7 +41,7 @@ from .guiding import (
     mst_apply,
     sop_transform,
 )
-from .masking import MODE_FIXED, MaskConfig, neighbor_mask, select_targets
+from .masking import MODE_FIXED, MaskConfig, neighbor_mask, select_targets, window_rng
 from .tokenizers import N_MODE_AS_UNK, TokenizerSpec, tokenize
 
 _SOP_STREAM = 1  # sub-stream tag so SOP draws never collide with masking draws
@@ -73,6 +73,8 @@ class PipelineConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -138,7 +140,7 @@ def build_record(
     ids = tokenize(seq, spec)
     sop_label = None
     if TASK_SOP in cfg.guiding:
-        rng = np.random.default_rng((cfg.master_seed, ordinal, _SOP_STREAM))
+        rng = window_rng(cfg.master_seed, ordinal, _SOP_STREAM)
         ids, sop_label = sop_transform(
             ids, cfg.sop_reverse_prob, rng, special_ids=mask_cfg.special_ids
         )

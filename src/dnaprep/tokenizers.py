@@ -133,6 +133,20 @@ def _value_lut(vocab: Vocabulary):
     return lut
 
 
+_VALUE_BLOCK = 1 << 16  # stride-1 windows whose values _window_values builds at once
+
+
+def _kmer_values(codes: np.ndarray, k: int) -> np.ndarray:
+    """Base-4 value of every width-k window of ``codes``, N read as T."""
+    # 4**12 < 2**31, so int32 holds any k <= 12 window value
+    clean = np.minimum(codes, 3, dtype=np.int32)
+    vals = clean[: clean.size - k + 1].copy()
+    for j in range(1, k):
+        vals <<= 2
+        vals += clean[j : j + vals.size]
+    return vals
+
+
 def _window_values(codes: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-4 value of each width-k window plus a contains-N flag.
 
@@ -148,12 +162,14 @@ def _window_values(codes: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, 
         has_n = n_flags[:m].copy()
         for j in range(1, k):
             has_n |= n_flags[j : j + m]
-        # 4**12 < 2**31, so int32 holds any k <= 12 window value
-        clean = np.minimum(codes, 3, dtype=np.int32)
-        vals = clean[:m].copy()
-        for j in range(1, k):
-            vals <<= 2
-            vals += clean[j : j + m]
+        del n_flags
+        if m <= _VALUE_BLOCK:
+            return _kmer_values(codes, k), has_n
+        # Longer records go a block at a time, so that no record-long int32
+        # copy of the codes exists: the values and flags take 5 bytes per base.
+        vals = np.empty(m, dtype=np.int32)
+        for start in range(0, m, _VALUE_BLOCK):
+            vals[start : start + _VALUE_BLOCK] = _kmer_values(codes[start : start + _VALUE_BLOCK + k - 1], k)
         return vals, has_n
     m = n // k
     if m <= 0:

@@ -205,3 +205,20 @@ class TestRcLabelLut:
         plan = neighbor_mask(with_sentinels(vocab, [0, 1, 2]), [], cfg)
         with pytest.raises(ValueError, match="missing from vocabulary"):
             csp_targets(plan, vocab)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "flawed"])
+def test_int32_ids_stay_int32(mode):
+    """Tokenizer ids are int32; masking and the guiding tasks keep that dtype."""
+    vocab = build_kmer_vocab(6)
+    cfg = MaskConfig.for_vocab(vocab, p=0.3, mode=mode, master_seed=4)
+    toks = with_sentinels(vocab, range(0, 4000, 37)).astype(np.int32)
+    swapped, label = sop_transform(toks, 1.0, np.random.default_rng(0), special_ids=vocab.special_ids)
+    assert label == 1 and swapped.dtype == np.int32
+    plan = neighbor_mask(swapped, select_targets(swapped, cfg, 0), cfg)
+    assert plan.in_mask.any()
+    assert plan.input_ids.dtype == np.int32 and plan.original_ids.dtype == np.int32
+    assert np.array_equal(plan.original_ids, swapped)
+    masked, mst = mst_apply(swapped, plan)
+    assert masked.dtype == np.int32 and mst.label_array.dtype == np.int32
+    assert mst.labels == {0: vocab.special_id("CLS"), swapped.size - 1: vocab.special_id("SEP")}

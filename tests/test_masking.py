@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from dnaprep import (
     select_targets,
     verify_no_leakage,
 )
+from dnaprep.masking import _RNG_CHUNK, _seed_words, window_rng
 
 V3 = build_kmer_vocab(3)
 V6 = build_kmer_vocab(6)
@@ -182,6 +188,75 @@ class TestConfig:
     def test_word_vocab_gets_k1(self):
         vw = build_kmer_vocab(4, kind="word")
         assert MaskConfig.for_vocab(vw).k == 1
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError):
+            MaskConfig(master_seed=-1)
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96]), st.integers(0, 2**96))
+_ORDINALS = st.one_of(
+    st.sampled_from([0, 1, 1023, 1024, 1025, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 1024]),
+    st.integers(0, 2**40),
+)
+_TAGS = st.sampled_from([(), (0,), (1,), (2**35,)])
+
+
+class TestWindowRng:
+    """Against numpy's own SeedSequence and default_rng as the oracle."""
+
+    @given(_SEEDS, _ORDINALS, _TAGS)
+    @settings(max_examples=300, deadline=None)
+    def test_seed_words_match_seed_sequence(self, seed, ordinal, tag):
+        want = np.random.SeedSequence((seed, ordinal, *tag)).generate_state(4, np.uint64)
+        got = _seed_words(seed, ordinal // _RNG_CHUNK, tag)[ordinal % _RNG_CHUNK]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @given(_SEEDS, _ORDINALS, _TAGS)
+    @settings(max_examples=200, deadline=None)
+    def test_generator_matches_default_rng(self, seed, ordinal, tag):
+        got = window_rng(seed, ordinal, *tag)
+        want = np.random.default_rng((seed, ordinal, *tag))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(17), want.random(17))
+        assert got.random() == want.random()
+        assert np.array_equal(got.integers(0, 1000, 5), want.integers(0, 1000, 5))
+
+    def test_every_row_of_a_chunk(self):
+        for ordinal in range(2 * _RNG_CHUNK):
+            want = np.random.SeedSequence((5, ordinal, 1)).generate_state(4, np.uint64)
+            assert np.array_equal(_seed_words(5, ordinal // _RNG_CHUNK, (1,))[ordinal % _RNG_CHUNK], want)
+
+    def test_generators_are_independent(self):
+        a, b = window_rng(9, 3), window_rng(9, 3)
+        first = a.random(4)
+        assert np.array_equal(b.random(4), first)
+        assert not np.array_equal(a.random(4), first)
+
+    @pytest.mark.parametrize("args", [(0, -1), (0, -1024), (0, -(2**33)), (-1, 0), (0, 0, -1)])
+    def test_negative_arguments_raise(self, args):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng(args)
+        with pytest.raises(ValueError, match="non-negative"):
+            window_rng(*args)
+
+    def test_select_targets_draws_default_rng(self):
+        cfg = MaskConfig.for_vocab(V3, p=0.3, master_seed=2**40 + 7)
+        toks = body_tokens(V3, 300)
+        for ordinal in (0, 1023, 1024, 2**32 + 5):
+            draws = np.random.default_rng((cfg.master_seed, ordinal)).random(toks.size)
+            want = np.flatnonzero((draws < cfg.p) & ~np.isin(toks, list(V3.special_ids)))
+            assert np.array_equal(select_targets(toks, cfg, ordinal), want)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, dnaprep, dnaprep.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def reference_plan(tokens, targets, k, mode, special_ids, mask_id):

@@ -472,6 +472,30 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")], ids=["flag", "env"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, vocab3_path, monkeypatch, capsys, flag, env):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if env is not None:
+            monkeypatch.setenv("DNAPREP_SEED", env)
+        seed = flag[1] if flag else env
+        # the FASTA is unreadable: a run that got as far as reading would exit 2
+        fasta = str(tmp_path / "absent.fa")
+        code = main(["guide", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out_dir / "o.jsonl"), *flag])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": f"master seed must be >= 0, got {seed}",
+        }
+        assert list(out_dir.iterdir()) == []
+
+
+def test_negative_master_seed_is_rejected_when_the_config_is_built():
+    from dnaprep import ConfigError
+
+    with pytest.raises(ConfigError, match="master seed must be >= 0"):
+        PipelineConfig(vocab_path="", fasta_path="", out_path="", master_seed=-1)
+
 
 def test_build_record_rejects_a_mask_id_outside_the_vocabulary():
     from dnaprep import ConfigError, TokenizerSpec, build_record

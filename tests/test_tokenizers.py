@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -116,6 +117,16 @@ class TestKmer:
         ids = kmer_tokenize(DnaSequence(bases), TokenizerSpec(vocab))
         ref = [vocab.id_of(bases[i : i + 4]) for i in range(len(bases) - 3)]
         assert list(ids) == ref
+
+    @given(dna, st.integers(1, 7), st.integers(1, 9))
+    @settings(max_examples=200)
+    def test_blocks_match_python_reference(self, bases, k, block):
+        vocab = build_kmer_vocab(k)
+        kmers = [bases[i : i + k] for i in range(len(bases) - k + 1)]
+        ref = [vocab.unk_id if "N" in kmer else vocab.id_of(kmer) for kmer in kmers]
+        with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
+            ids = kmer_tokenize(DnaSequence(bases), TokenizerSpec(vocab))
+        assert ids.tolist() == ref
 
     def test_kind_guard(self):
         vocab = build_kmer_vocab(3, kind="word")
@@ -364,3 +375,31 @@ def test_ids_are_int32(kind, n_mode, sentinels):
     for bases in ("", "AC", "NNN", "ACGTNNNACGTTGCAN", "ACGTTGCAACGT"):
         ids = tokenize(DnaSequence(bases), spec)
         assert ids.dtype == np.int32, (bases, ids.dtype)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stride_one_window_values_memory_per_base():
+    """Only the int32 values and the N flags span the record (5 bytes per
+    base); the rest is one block's int32 codes and values."""
+    rng = np.random.default_rng(1)
+    n = 1 << 20
+    codes = rng.integers(0, 4, n).astype(np.uint8)
+    codes[rng.random(n) < 0.02] = 4
+    (vals, has_n), peak = _peak_bytes(tokenizers._window_values, codes, 6, 1)
+    assert peak < 5 * n + 9 * tokenizers._VALUE_BLOCK
+    want = sum(np.minimum(codes[j : j + n - 5], 3).astype(np.int64) << (2 * (5 - j)) for j in range(6))
+    assert np.array_equal(vals, want)
+    assert vals.dtype == np.int32
+    assert np.array_equal(has_n, np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0)
+    seq = DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii"))
+    ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
+    assert ids.size == n - 3
+    assert peak / n < 8.25
