@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vocabulary
+from .core import BPE, Vocabulary, rc_string
 from .errors import ConfigError
 from .masking import MODE_FIXED, MaskPlan, special_mask
 
@@ -64,7 +64,7 @@ def ftm_targets(plan: MaskPlan) -> GuidingTargets:
         raise ConfigError("FTM targets are defined for fixed-mode plans only")
     if plan.k < 2:
         raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
-    positions = np.flatnonzero(plan.in_mask & ~plan.target_mask)
+    positions = (plan.in_mask & ~plan.target_mask).nonzero()[0]
     return GuidingTargets(TASK_FTM, positions, plan.original_ids[positions], LABEL_SPACE_V)
 
 
@@ -75,7 +75,7 @@ def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
     special tokens yields empty targets.
     """
     tokens = np.asarray(tokens)
-    positions = np.flatnonzero(plan.special_mask)
+    positions = plan.special_mask.nonzero()[0]
     updated = plan.input_ids.copy()
     updated[positions] = plan.mask_id
     return updated, GuidingTargets(TASK_MST, positions, tokens[positions], LABEL_SPACE_V)
@@ -86,33 +86,45 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
 
     The span is split at floor(len/2) and the halves exchanged; sentinels
     keep their positions. Fewer than two non-special tokens is an
-    identity transform with label 0.
+    identity transform with label 0. Every call draws exactly one number
+    from ``rng``, first, and only a call that swaps scans the tokens for
+    the span. Returns a new array either way.
     """
     if not 0.0 <= reverse_prob <= 1.0:
         raise ConfigError(f"reverse_prob must be in [0, 1], got {reverse_prob}")
     tokens = np.asarray(tokens)
     out = tokens.copy()
-    body = np.flatnonzero(~special_mask(tokens, special_ids))
-    if body.size < 2 or rng.random() >= reverse_prob:
+    if rng.random() >= reverse_prob:
+        return out, 0
+    body = (~special_mask(tokens, special_ids)).nonzero()[0]
+    if body.size < 2:
         return out, 0
     half = body.size // 2
-    order = np.concatenate((body[half:], body[:half]))
-    out[body] = tokens[order]
+    out[body] = tokens[np.concatenate((body[half:], body[:half]))]
     return out, 1
 
 
 def rc_label_lut(vocab: Vocabulary) -> np.ndarray:
     """``vocab.rc_label(i)`` for every id, -1 where it raises (special ids, missing complements).
 
-    Built on first use and kept on the vocabulary.
+    Built on first use, in one pass over the token strings, and kept on
+    the vocabulary.
     """
     if vocab._rc_label_lut is None:
         lut = np.full(len(vocab), -1, dtype=np.int64)
-        for token_id in range(vocab.n_nonspecial):
-            try:
-                lut[token_id] = vocab.rc_label(token_id)
-            except ValueError:
-                pass
+        n = vocab.n_nonspecial
+        if vocab.kind == BPE:
+            lut[:n] = np.arange(n)
+        else:
+            tokens = vocab.tokens[:n]
+            # complement and reverse all tokens at once: reversing the joined
+            # string reverses each token and their order
+            rcs = rc_string("\n".join(tokens)).split("\n")[::-1]
+            if len(rcs) != n:  # some token holds a newline
+                rcs = [rc_string(token) for token in tokens]
+            to_id = vocab._token_to_id.get
+            fill = -1 if vocab.cull_id is None else vocab.cull_id
+            lut[:n] = [to_id(rc, fill) for rc in rcs]
         lut.flags.writeable = False
         vocab._rc_label_lut = lut
     return vocab._rc_label_lut
@@ -120,7 +132,7 @@ def rc_label_lut(vocab: Vocabulary) -> np.ndarray:
 
 def csp_targets(plan: MaskPlan, vocab: Vocabulary) -> GuidingTargets:
     """Label every strictly unmasked non-special position with its RC token."""
-    positions = np.flatnonzero(~(plan.in_mask | plan.special_mask))
+    positions = (~(plan.in_mask | plan.special_mask)).nonzero()[0]
     originals = plan.original_ids[positions]
     labels = rc_label_lut(vocab)[originals]
     missing = labels < 0

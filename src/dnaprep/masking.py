@@ -266,7 +266,7 @@ def select_targets(tokens, cfg: MaskConfig, seq_ordinal: int) -> np.ndarray:
     tokens = np.asarray(tokens)
     draws = window_rng(cfg.master_seed, seq_ordinal).random(tokens.size)
     picked = (draws < cfg.p) & ~special_mask(tokens, cfg.special_ids)
-    return np.flatnonzero(picked)
+    return picked.nonzero()[0]
 
 
 def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
@@ -287,10 +287,8 @@ def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
         in_mask = masked | target  # the algorithm seeds M_in with M itself
         label_mask = in_mask
 
-    input_ids = tokens.copy()
-    input_ids[masked] = cfg.mask_id
     return MaskPlan(
-        input_ids=input_ids,
+        input_ids=np.where(masked, cfg.mask_id, tokens),
         original_ids=tokens,
         target_mask=target,
         in_mask=in_mask,

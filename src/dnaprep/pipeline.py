@@ -69,6 +69,8 @@ class PipelineConfig:
         unknown = [t for t in self.guiding if t not in GUIDING_TASKS]
         if unknown:
             raise ConfigError(f"unknown guiding tasks: {unknown}")
+        if not 0.0 <= self.sop_reverse_prob <= 1.0:  # NaN fails too
+            raise ConfigError(f"sop_reverse_prob must be in [0, 1], got {self.sop_reverse_prob}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.threads < 1:
@@ -162,9 +164,9 @@ def build_record(
         pairs[1::2] = values
         add_field(pairs)
 
-    labeled = np.flatnonzero(plan.label_mask)
-    add_field(np.flatnonzero(plan.in_mask))
-    add_field(np.flatnonzero(plan.target_mask))
+    labeled = plan.label_mask.nonzero()[0]
+    add_field(plan.in_mask.nonzero()[0])
+    add_field(plan.target_mask.nonzero()[0])
     add_labels(labeled, plan.original_ids[labeled])
     input_ids = plan.input_ids
     guiding: list[bytes] = []

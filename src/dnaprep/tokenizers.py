@@ -51,8 +51,6 @@ N_MODES = (N_MODE_AS_UNK, N_MODE_DROP, N_MODE_SEG)
 _N_CODE = 4
 _CODE_TABLE = bytes.maketrans((NUCLEOTIDES + N_CHAR).encode("ascii"), bytes(range(_N_CODE + 1)))
 
-_ACGT_SET = frozenset(NUCLEOTIDES)
-_BASE_VALUE = {c: i for i, c in enumerate(NUCLEOTIDES)}
 _N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 
@@ -78,128 +76,175 @@ def _codes(bases: str) -> np.ndarray:
     return np.frombuffer(bases.encode("ascii").translate(_CODE_TABLE), dtype=np.uint8)
 
 
-def _wrap_sentinels(ids: np.ndarray, vocab: Vocabulary, add: bool) -> np.ndarray:
+def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
+    """The ids placed before and after a sequence's tokens: [CLS] and [SEP], or none."""
     if not add:
-        return ids
-    return np.concatenate(
-        (
-            np.asarray([vocab.special_id("CLS")], dtype=ids.dtype),
-            ids,
-            np.asarray([vocab.special_id("SEP")], dtype=ids.dtype),
-        )
-    )
+        return [], []
+    return [vocab.special_id("CLS")], [vocab.special_id("SEP")]
 
 
-def _kmer_value(token: str) -> int:
-    value = 0
-    for ch in token:
-        value = value * 4 + _BASE_VALUE[ch]
-    return value
-
-
+_POWERS = 4 ** np.arange(12, dtype=np.int32)  # 4**j for every k-mer digit j (k <= 12)
+_ONES = np.ones(12, dtype=bool)
+_DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
 _IDENTITY = "identity"
 
 
 def _value_lut(vocab: Vocabulary):
     """Map the base-4 value of a k-mer to its id in ``vocab``.
 
-    Returns None for a complete k-mer vocabulary (the mapping is the
-    identity, so callers can skip the gather); for a culled vocabulary,
-    values whose token was removed map to the [CULL] id.
+    Returns None when the k-mers hold ids 0 .. 4**k - 1 in value order
+    (the mapping is the identity, so callers can skip the gather); for a
+    culled vocabulary, values whose token was removed map to the [CULL] id.
+    Every token of length k made of A, C, G and T is read at once: the
+    tokens are joined into one byte string and their digits gathered from
+    it column by column.
     """
     if vocab._kmer_value_lut is not None:
         cached = vocab._kmer_value_lut
         return None if cached is _IDENTITY else cached
     k = vocab.k
-    size = 4**k
-    pure = sum(1 for t in vocab.tokens[: vocab.n_nonspecial] if set(t) <= _ACGT_SET)
-    complete = (
-        pure == size
-        and vocab.tokens[0] == "A" * k
-        and vocab.tokens[size - 1] == "T" * k
-        and _kmer_value(vocab.tokens[size // 3]) == size // 3
-    )
-    if complete:
+    tokens = vocab.tokens
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    ids = (lengths == k).nonzero()[0]
+    # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
+    text = "".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE)
+    digits = np.frombuffer(text, dtype=np.uint8)
+    starts = (np.cumsum(lengths) - lengths)[ids]
+    values = np.zeros(ids.size, dtype=np.int32)
+    pure = np.ones(ids.size, dtype=bool)
+    for j in range(k):
+        digit = digits[starts + j]
+        pure &= digit < 4
+        values <<= 2
+        values += digit
+    lut = np.full(4**k, -1, dtype=np.int32)
+    lut[values[pure]] = ids[pure]
+    if np.array_equal(lut, np.arange(lut.size)):
         vocab._kmer_value_lut = _IDENTITY
         return None
-    fill = vocab.cull_id
-    if fill is None:
-        raise DataError("vocabulary is missing k-mers and has no [CULL] token")
-    lut = np.full(size, fill, dtype=np.int32)
-    for tok, tid in vocab._token_to_id.items():
-        if len(tok) == k and set(tok) <= _ACGT_SET:
-            lut[_kmer_value(tok)] = tid
+    missing = lut < 0
+    if missing.any():
+        if vocab.cull_id is None:
+            raise DataError("vocabulary is missing k-mers and has no [CULL] token")
+        lut[missing] = vocab.cull_id
     vocab._kmer_value_lut = lut
     return lut
 
 
-_VALUE_BLOCK = 1 << 16  # stride-1 windows whose values _window_values builds at once
+# Inputs up to this many bases get their stride-1 values (and N flags)
+# from one np.convolve; longer ones from a shift-add (shift-or) pass per
+# digit. Values timed on a 2-vCPU host, k = 6, convolve vs shift-add:
+# 512 bases 8.3 vs 22.3 us, 1024 14.0 vs 21.9, 2048 30.6 vs 28.7, 4096
+# 43.6 vs 25.2 (k = 3 and k = 12 cross over near 1024 as well).
+_CONVOLVE_MAX = 1024
+_VALUE_BLOCK = 1 << 16  # windows whose values _value_blocks builds at once
 
 
-def _kmer_values(codes: np.ndarray, k: int) -> np.ndarray:
-    """Base-4 value of every width-k window of ``codes``, N read as T."""
-    # 4**12 < 2**31, so int32 holds any k <= 12 window value
+def _kmer_values(codes: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write the base-4 value of every width-k window of ``codes`` to ``out``, N read as T."""
+    # 4**12 < 2**31, so int32 holds any k <= 12 window value and every partial sum
     clean = np.minimum(codes, 3, dtype=np.int32)
-    vals = clean[: clean.size - k + 1].copy()
+    if codes.size <= _CONVOLVE_MAX:
+        out[...] = np.convolve(clean, _POWERS[:k], "valid")
+        return
+    out[...] = clean[: out.size]
     for j in range(1, k):
-        vals <<= 2
-        vals += clean[j : j + vals.size]
-    return vals
+        out <<= 2
+        out += clean[j : j + out.size]
+
+
+def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | None:
+    """Whether each of the ``m`` windows of ``codes`` holds an N; None when none does."""
+    n_flags = codes == _N_CODE
+    if not n_flags.any():
+        return None
+    if stride != 1:
+        return n_flags.reshape(m, k).any(axis=1)
+    if codes.size <= _CONVOLVE_MAX:
+        return np.convolve(n_flags, _ONES[:k], "valid")
+    has_n = n_flags[:m].copy()
+    for j in range(1, k):
+        has_n |= n_flags[j : j + m]
+    return has_n
+
+
+def _window_count(n: int, k: int, stride: int) -> int:
+    return max(0, n - k + 1) if stride == 1 else n // k
+
+
+def _value_blocks(
+    codes: np.ndarray, k: int, stride: int, out: np.ndarray, any_n: bool = True
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """Fill ``out`` with the base-4 value of each width-k window, a block at a time.
+
+    Yields ``(start, stop, has_n)`` once ``out[start:stop]`` holds a
+    block's values; ``has_n`` flags its windows that hold an N, and is
+    None when none does or ``any_n`` says the input holds no N. N
+    positions contribute an arbitrary digit to the value; every flagged
+    window is overridden or dropped by the caller before use. Blocks keep
+    the temporary arrays small, so only ``out`` spans the whole input.
+    """
+    for start in range(0, out.size, _VALUE_BLOCK):
+        stop = min(start + _VALUE_BLOCK, out.size)
+        vals = out[start:stop]
+        if stride == 1:
+            part = codes[start : stop + k - 1]
+            _kmer_values(part, k, vals)
+        else:
+            part = codes[start * k : stop * k]
+            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _POWERS[k - 1 :: -1], out=vals)
+        yield start, stop, _n_flags(part, k, stride, vals.size) if any_n else None
 
 
 def _window_values(codes: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-4 value of each width-k window plus a contains-N flag.
+    """Base-4 value of each width-k window plus a contains-N flag."""
+    vals = np.empty(_window_count(codes.size, k, stride), dtype=np.int32)
+    has_n = np.zeros(vals.size, dtype=bool)
+    for start, stop, flags in _value_blocks(codes, k, stride, vals):
+        if flags is not None:
+            has_n[start:stop] = flags
+    return vals, has_n
 
-    N positions contribute an arbitrary digit to the value; every flagged
-    window is overridden or dropped by the caller before use.
+
+def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool) -> np.ndarray:
+    """The spec's ids for ``codes`` in as_unk or drop mode, sentinels included.
+
+    Ids are written straight into the returned array, between the slots
+    kept for [CLS] and [SEP]. Drop mode compacts each block's kept windows
+    in place, so its result is a view of the array's first entries.
+    ``any_n`` False promises that ``codes`` hold no N, which skips the
+    N flags.
     """
-    n = codes.size
-    if stride == 1:
-        m = n - k + 1
-        if m <= 0:
-            return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
-        n_flags = codes == _N_CODE
-        has_n = n_flags[:m].copy()
-        for j in range(1, k):
-            has_n |= n_flags[j : j + m]
-        del n_flags
-        if m <= _VALUE_BLOCK:
-            return _kmer_values(codes, k), has_n
-        # Longer records go a block at a time, so that no record-long int32
-        # copy of the codes exists: the values and flags take 5 bytes per base.
-        vals = np.empty(m, dtype=np.int32)
-        for start in range(0, m, _VALUE_BLOCK):
-            vals[start : start + _VALUE_BLOCK] = _kmer_values(codes[start : start + _VALUE_BLOCK + k - 1], k)
-        return vals, has_n
-    m = n // k
-    if m <= 0:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
-    grid = codes[: m * k].reshape(m, k).astype(np.int32)
-    has_n = (grid == _N_CODE).any(axis=1)
-    np.minimum(grid, 3, out=grid)
-    powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int32)
-    return grid @ powers, has_n
-
-
-def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int) -> np.ndarray:
     vocab = spec.vocab
-    vals, has_n = _window_values(codes, vocab.k, stride)
     lut = _value_lut(vocab)
-    core = vals if lut is None else lut[vals]
-    if spec.n_mode == N_MODE_AS_UNK:
-        if has_n.any():
-            core[has_n] = vocab.unk_id  # every id fits int32 (4**12 + specials)
-    else:
-        core = core[~has_n]
-    return core
+    head, tail = _sentinels(vocab, spec.add_sentinels)
+    pad = len(head)
+    m = _window_count(codes.size, vocab.k, stride)
+    out = np.empty(m + 2 * pad, dtype=np.int32)
+    core = out[pad : pad + m]
+    kept = 0
+    for start, stop, has_n in _value_blocks(codes, vocab.k, stride, core, any_n):
+        vals = core[start:stop]
+        if lut is not None:
+            vals[...] = lut[vals]
+        if spec.n_mode == N_MODE_DROP:
+            if has_n is not None:
+                vals = vals[~has_n]
+            core[kept : kept + vals.size] = vals  # a no-op while nothing was dropped
+            kept += vals.size
+        else:
+            kept = stop
+            if has_n is not None:
+                vals[has_n] = vocab.unk_id  # every id fits int32 (4**12 + specials)
+    if pad:
+        out[0], out[pad + kept] = head[0], tail[0]
+    return out if kept == m else out[: kept + 2 * pad]
 
 
 def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int) -> np.ndarray:
     if spec.n_mode == N_MODE_SEG:
-        core = _segmented_ids(bases, spec.vocab, stride)
-    else:
-        core = _ids_from_codes(_codes(bases), spec, stride)
-    return _wrap_sentinels(core, spec.vocab, spec.add_sentinels)
+        return _segmented_ids(bases, spec.vocab, stride, spec.add_sentinels)
+    return _ids_from_codes(_codes(bases), spec, stride, any_n=N_CHAR in bases)
 
 
 def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
@@ -254,11 +299,12 @@ def _cover_n_run(length: int, priority: tuple[str, ...]) -> list[str]:
     return out
 
 
-def _segmented_ids(bases: str, vocab: Vocabulary, stride: int) -> np.ndarray:
-    """seg_n core: tokenize non-N stretches with the tokenizer's own stride."""
+def _segmented_ids(bases: str, vocab: Vocabulary, stride: int, add_sentinels: bool = False) -> np.ndarray:
+    """seg_n: tokenize non-N stretches with the tokenizer's own stride."""
     priority = vocab.n_run_tokens()
     lut = _value_lut(vocab)
-    parts: list[np.ndarray] = []
+    head, tail = _sentinels(vocab, add_sentinels)
+    parts = [np.array(head, dtype=np.int32)]
     for start, end, is_n in _iter_n_runs(bases):
         if is_n:
             covered = _cover_n_run(end - start, priority)
@@ -266,8 +312,7 @@ def _segmented_ids(bases: str, vocab: Vocabulary, stride: int) -> np.ndarray:
         else:
             vals, _ = _window_values(_codes(bases[start:end]), vocab.k, stride)
             parts.append(vals if lut is None else lut[vals])
-    if not parts:
-        return np.empty(0, dtype=np.int32)
+    parts.append(np.array(tail, dtype=np.int32))
     return np.concatenate(parts)
 
 
@@ -518,7 +563,8 @@ def bpe_encode(
     if n_mode == N_MODE_SEG and not vocab.n_run_tokens():
         raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
     ranks = _merge_ranks(vocab)
-    ids: list[int] = []
+    head, tail = _sentinels(vocab, add_sentinels)
+    ids = head
     for start, end, is_n in _iter_n_runs(seq.bases):
         if is_n:
             if n_mode == N_MODE_AS_UNK:
@@ -535,7 +581,8 @@ def bpe_encode(
                 if table[t] is None:
                     raise DataError(f"token {state.strings[t]!r} missing from BPE vocabulary")
                 ids.append(table[t])
-    return _wrap_sentinels(np.asarray(ids, dtype=np.int32), vocab, add_sentinels)
+    ids.extend(tail)
+    return np.asarray(ids, dtype=np.int32)
 
 
 def decode_ids(ids, vocab: Vocabulary) -> str:
@@ -570,14 +617,16 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
         return kmer_tokenize(seq, spec)
     inner = TokenizerSpec(spec.vocab, spec.n_mode, add_sentinels=False)
     codes = _codes(seq.bases)
+    any_n = N_CHAR in seq.bases
     step = -(-m // chunks)
     bounds = [(s, min(s + step, m)) for s in range(0, m, step)]
 
     def chunk(span: tuple[int, int]) -> np.ndarray:
         s, e = span
         # numpy view, no copy: the heavy ufunc work runs GIL-free
-        return _ids_from_codes(codes[s : e + k - 1], inner, stride=1)
+        return _ids_from_codes(codes[s : e + k - 1], inner, stride=1, any_n=any_n)
 
+    head, tail = _sentinels(spec.vocab, spec.add_sentinels)
     with ThreadPoolExecutor(max_workers=chunks) as pool:
         parts = list(pool.map(chunk, bounds))
-    return _wrap_sentinels(np.concatenate(parts), spec.vocab, spec.add_sentinels)
+    return np.concatenate([np.array(head, dtype=np.int32), *parts, np.array(tail, dtype=np.int32)])

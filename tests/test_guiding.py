@@ -137,6 +137,52 @@ class TestSop:
         assert out.size == toks.size
 
 
+def sop_reference(tokens, reverse_prob, rng, special_ids):
+    """sop_transform as first written: the body is found first, and a body of
+    fewer than two tokens returns before the draw."""
+    tokens = np.asarray(tokens)
+    out = tokens.copy()
+    body = np.flatnonzero(~np.isin(tokens, list(special_ids)))
+    if body.size < 2 or rng.random() >= reverse_prob:
+        return out, 0
+    half = body.size // 2
+    out[body] = tokens[np.concatenate((body[half:], body[:half]))]
+    return out, 1
+
+
+class TestSopOracle:
+    @given(
+        st.integers(0, 3) | st.integers(4, 600),
+        st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=300)
+    def test_matches_reference(self, body_size, prob, sentinels, seed):
+        body = np.random.default_rng(seed).integers(0, V3.n_nonspecial, body_size)
+        toks = (with_sentinels(V3, body) if sentinels else body).astype(np.int32)
+        got = sop_transform(toks, prob, np.random.default_rng(seed), special_ids=V3.special_ids)
+        want = sop_reference(toks, prob, np.random.default_rng(seed), V3.special_ids)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == toks.dtype
+        assert got[0] is not toks
+
+    @pytest.mark.parametrize("body_size", [0, 1, 2, 50])
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_draws_exactly_one_number(self, body_size, prob):
+        toks = with_sentinels(V3, range(body_size))
+        rng = np.random.default_rng(7)
+        sop_transform(toks, prob, rng, special_ids=V3.special_ids)
+        after_one = np.random.default_rng(7)
+        after_one.random()
+        assert rng.bit_generator.state == after_one.bit_generator.state
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
+    def test_bad_probability_raises(self, prob):
+        with pytest.raises(ConfigError):
+            sop_transform(with_sentinels(V3, [1, 2]), prob, np.random.default_rng(0))
+
+
 class TestCsp:
     def test_unmasked_complement_k1(self):
         v1 = build_kmer_vocab(1)
@@ -188,6 +234,44 @@ class TestRcLabelLut:
         assert [int(lut[i]) for i in range(vocab.n_nonspecial)] == [
             vocab.rc_label(i) for i in range(vocab.n_nonspecial)
         ]
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            build_kmer_vocab(6),
+            build_kmer_vocab(4, include_n_tokens=True),
+            build_kmer_vocab(3, include_n_tokens=True, kind="word"),
+            cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0],
+            cull_vocab(build_kmer_vocab(5), CullSpec(frozenset(range(3, 1024, 13))))[0],
+            Vocabulary(
+                kind="kmer",
+                tokens=("AA", "AC", "TT", "[CLS]", "[SEP]", "[MASK]", "[PAD]", "[UNK]"),
+                specials={"CLS": 3, "SEP": 4, "MASK": 5, "PAD": 6, "UNK": 7},
+                k=2,
+            ),
+            Vocabulary(
+                kind="word",
+                tokens=("AC", "GT", "A\nT", "G\nG", "[CULL]", "[CLS]", "[SEP]", "[MASK]", "[PAD]", "[UNK]"),
+                specials={"CLS": 5, "SEP": 6, "MASK": 7, "PAD": 8, "UNK": 9},
+                k=2,
+            ),
+            bpe_vocab_from_merges([("A", "C"), ("G", "T"), ("AC", "GT"), ("A", "A")]),
+        ],
+        ids=["kmer6", "kmer4_n_tokens", "word", "culled3", "culled5", "no_cull_missing", "newline_tokens", "bpe"],
+    )
+    def test_every_entry_equals_rc_label_or_minus_one(self, vocab):
+        """Specials and complements missing without [CULL] hold -1, where rc_label raises."""
+
+        def reference(token_id):
+            try:
+                return vocab.rc_label(token_id)
+            except ValueError:
+                return -1
+
+        lut = rc_label_lut(vocab)
+        assert lut.tolist() == [reference(i) for i in range(len(vocab))]
+        assert not lut.flags.writeable
+        assert rc_label_lut(vocab) is lut
 
     def test_culled_complements_fall_back_to_cull(self):
         vocab = cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]

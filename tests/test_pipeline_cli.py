@@ -489,6 +489,22 @@ class TestCli:
         }
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("prob", ["2", "-0.5", "nan"])
+    @pytest.mark.parametrize("fasta_text", ["", None], ids=["empty_fasta", "missing_fasta"])
+    def test_bad_sop_prob_is_a_usage_error_before_any_input(self, tmp_path, vocab3_path, capsys, prob, fasta_text):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # an empty FASTA would give a run with no windows, a missing one exit 2
+        fasta = write_fasta(tmp_path, fasta_text) if fasta_text is not None else str(tmp_path / "absent.fa")
+        argv = ["guide", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out_dir / "o.jsonl")]
+        code = main([*argv, "--tasks", "sop", "--sop-prob", prob])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": f"sop_reverse_prob must be in [0, 1], got {float(prob)}",
+        }
+        assert list(out_dir.iterdir()) == []
+
 
 def test_negative_master_seed_is_rejected_when_the_config_is_built():
     from dnaprep import ConfigError

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from dnaprep import (
     ConfigError,
+    CullSpec,
     DataError,
     DnaSequence,
     TokenizerSpec,
@@ -17,6 +20,7 @@ from dnaprep import (
     bpe_train,
     bpe_train_sizes,
     build_kmer_vocab,
+    cull_vocab,
     decode_ids,
     kmer_tokenize,
     kmer_tokenize_parallel,
@@ -388,7 +392,9 @@ def _peak_bytes(fn, *args):
 
 def test_stride_one_window_values_memory_per_base():
     """Only the int32 values and the N flags span the record (5 bytes per
-    base); the rest is one block's int32 codes and values."""
+    base); the rest is one block's int32 codes and values. ``tokenize``
+    holds the base codes and the ids (with their two sentinel slots) and
+    handles each block's N windows in place, in both modes."""
     rng = np.random.default_rng(1)
     n = 1 << 20
     codes = rng.integers(0, 4, n).astype(np.uint8)
@@ -402,4 +408,160 @@ def test_stride_one_window_values_memory_per_base():
     seq = DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii"))
     ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
     assert ids.size == n - 3
-    assert peak / n < 8.25
+    assert peak / n < 5.5
+    spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
+    ids, peak = _peak_bytes(tokenize, seq, spec)
+    assert ids.size == n - 3 - has_n.sum()
+    assert peak / n < 5.75
+
+
+# -- window-kernel oracles ---------------------------------------------------
+
+_DIGIT = str.maketrans("ACGTN", "01233")
+
+
+def reference_values(bases, k, stride=1):
+    """Base-4 value (N read as T) and contains-N flag of each width-k window, one at a time."""
+    windows = [bases[p : p + k] for p in range(0, len(bases) - k + 1, stride)]
+    return [int(w.translate(_DIGIT), 4) for w in windows], ["N" in w for w in windows]
+
+
+def reference_ids(vocab, bases, n_mode, sentinels):
+    """The spec's ids built one token string at a time through ``vocab``'s dict."""
+    k = vocab.k
+    stride = 1 if vocab.kind == "kmer" else k
+
+    def look(token):
+        return vocab._token_to_id.get(token, vocab.cull_id)
+
+    ids = []
+    if n_mode == "seg_n":
+        for run in re.findall("N+|[^N]+", bases):
+            if run[0] == "N":
+                ids.extend(vocab.id_of(t) for t in segment_with_n(DnaSequence(run), k, vocab.n_run_tokens()))
+            else:
+                ids.extend(look(run[p : p + k]) for p in range(0, len(run) - k + 1, stride))
+    else:
+        for p in range(0, len(bases) - k + 1, stride):
+            window = bases[p : p + k]
+            if "N" not in window:
+                ids.append(look(window))
+            elif n_mode == "as_unk":
+                ids.append(vocab.unk_id)
+    if sentinels:
+        ids = [vocab.special_id("CLS"), *ids, vocab.special_id("SEP")]
+    return ids
+
+
+@st.composite
+def long_bases(draw, max_size=4096):
+    """Up to 4 kb, across the convolve/shift-add crossover: N-free, with N runs, or N-rich."""
+    n = draw(st.integers(0, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, 4, n)
+    kind = draw(st.sampled_from(["n_free", "n_runs", "n_rich"]))
+    if kind == "n_rich":
+        codes[rng.random(n) < 0.3] = 4
+    elif kind == "n_runs" and n:
+        for start in rng.integers(0, n, size=int(rng.integers(1, 4))):
+            codes[start : start + int(rng.integers(1, 40))] = 4
+    return "".join("ACGTN"[c] for c in codes)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_vocab(kind, k):
+    """A k-mer, word or culled k-mer vocabulary (the shapes the tokenizers treat differently), with N tokens."""
+    if kind != "culled":
+        return build_kmer_vocab(k, include_n_tokens=True, kind=kind)
+    full = build_kmer_vocab(k, include_n_tokens=True)
+    gone = frozenset(range(1, 4**k, 7)[: int(0.1 * full.n_nonspecial)])  # k-mers only
+    return cull_vocab(full, CullSpec(gone))[0]
+
+
+class TestWindowKernels:
+    @given(long_bases(), st.integers(1, 12), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
+    @settings(max_examples=200, deadline=None)
+    def test_values_match_per_kmer_reference(self, bases, k, convolve_max):
+        """Both value kernels, forced or chosen by length, against int(kmer, 4)."""
+        want_vals, want_n = reference_values(bases, k)
+        codes = tokenizers._codes(bases)
+        with mock.patch.object(tokenizers, "_CONVOLVE_MAX", convolve_max):
+            vals, has_n = tokenizers._window_values(codes, k, 1)
+        assert vals.dtype == np.int32
+        assert vals.tolist() == want_vals
+        assert has_n.tolist() == want_n
+
+    @given(long_bases(), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_word_values_match_per_kmer_reference(self, bases, k):
+        want_vals, want_n = reference_values(bases, k, stride=k)
+        vals, has_n = tokenizers._window_values(tokenizers._codes(bases), k, k)
+        assert vals.tolist() == want_vals
+        assert has_n.tolist() == want_n
+
+    @given(
+        long_bases(),
+        st.sampled_from(["kmer", "word", "culled"]),
+        st.integers(1, 8),
+        st.sampled_from(N_MODES),
+        st.booleans(),
+        st.sampled_from([tokenizers._VALUE_BLOCK, 7, 1000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ids_match_per_kmer_reference(self, bases, kind, k, n_mode, sentinels, block):
+        vocab = oracle_vocab(kind, k)
+        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+        with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
+            ids = tokenize(DnaSequence(bases), spec)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == reference_ids(vocab, bases, n_mode, sentinels)
+
+    def test_n_free_input_skips_the_flag_pass(self):
+        spec = TokenizerSpec(build_kmer_vocab(4), add_sentinels=True)
+        with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
+            ids = tokenize(DnaSequence("ACGTTGCA" * 40), spec)
+        assert ids.size == 320 - 3 + 2
+        with pytest.raises(AssertionError, match="flag pass ran"):
+            with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
+                tokenize(DnaSequence("ACGTNGCA" * 40), spec)
+
+
+def reference_value_lut(vocab):
+    """Id of every k-mer by value, [CULL] (or -1) where the vocabulary lacks it."""
+    fill = -1 if vocab.cull_id is None else vocab.cull_id
+    kmers = ("".join(p) for p in itertools.product("ACGT", repeat=vocab.k))
+    return [vocab._token_to_id.get(t, fill) for t in kmers]
+
+
+def _vocab_from(tokens, k):
+    tokens, specials = _with_specials(list(tokens))
+    return Vocabulary(kind="kmer", tokens=tokens, specials=specials, k=k)
+
+
+class TestValueLut:
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_complete_vocabularies_are_the_identity(self, k):
+        assert tokenizers._value_lut(build_kmer_vocab(k)) is None
+        assert tokenizers._value_lut(build_kmer_vocab(k, include_n_tokens=True, kind="word")) is None
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0],
+            cull_vocab(build_kmer_vocab(6, include_n_tokens=True), CullSpec(frozenset(range(0, 4096, 11))))[0],
+            # every k-mer, out of value order
+            _vocab_from(sorted(build_kmer_vocab(3).tokens[:64], key=lambda t: t[::-1]), 3),
+            # every k-mer after an extra pure token and a non-ASCII one
+            _vocab_from(["AC", "é" * 3] + list(build_kmer_vocab(3).tokens[:64]), 3),
+        ],
+        ids=["culled_k3", "culled_k6_n_tokens", "permuted", "extra_tokens"],
+    )
+    def test_table_matches_per_kmer_lookup(self, vocab):
+        lut = tokenizers._value_lut(vocab)
+        assert lut is not None and lut.dtype == np.int32
+        assert lut.tolist() == reference_value_lut(vocab)
+
+    def test_missing_kmer_without_cull_raises(self):
+        vocab = _vocab_from(build_kmer_vocab(2).tokens[1:16], 2)
+        with pytest.raises(DataError, match="no \\[CULL\\] token"):
+            tokenizers._value_lut(vocab)
