@@ -26,6 +26,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 NUCLEOTIDES = "ACGT"
@@ -186,22 +188,35 @@ class Vocabulary:
         """Map a non-special token id to its reverse-complement label id.
 
         For RC-closed vocabularies (k-mer / word) this is the id of the
-        reverse-complement token. For BPE the label lives in a parallel
-        label space indexed identically to the vocabulary (label i means
-        "reverse complement of token i"), so the id is returned unchanged.
+        reverse-complement token, or of [CULL] when a culled vocabulary
+        lost it. For BPE the label lives in a parallel label space indexed
+        identically to the vocabulary (label i means "reverse complement of
+        token i"), so the id is returned unchanged.
         """
         if self.is_special(token_id):
             raise ValueError(f"special token id {token_id} has no reverse complement")
-        if self.kind == BPE:
-            return token_id
-        rc = rc_string(self.tokens[token_id])
-        rid = self._token_to_id.get(rc)
-        if rid is None:
-            # A culled vocabulary may have lost the complement token.
-            if self.cull_id is not None:
-                return self.cull_id
-            raise ValueError(f"reverse complement {rc!r} missing from vocabulary")
-        return rid
+        label = int(self.rc_labels()[token_id])
+        if label < 0:
+            raise ValueError(f"reverse complement {rc_string(self.tokens[token_id])!r} missing from vocabulary")
+        return label
+
+    def rc_labels(self) -> np.ndarray:
+        """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements).
+
+        Read-only; built on first use and kept on the vocabulary.
+        """
+        if self._rc_label_lut is None:
+            n = self.n_nonspecial
+            lut = np.full(len(self.tokens), -1, dtype=np.int64)
+            if self.kind == BPE:
+                lut[:n] = np.arange(n)
+            else:
+                to_id = self._token_to_id.get
+                fill = -1 if self.cull_id is None else self.cull_id
+                lut[:n] = [to_id(rc_string(token), fill) for token in self.tokens[:n]]
+            lut.flags.writeable = False
+            self._rc_label_lut = lut
+        return self._rc_label_lut
 
     def n_run_tokens(self) -> tuple[str, ...]:
         """N-run tokens present in the vocabulary, longest first."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BPE, Vocabulary, rc_string
+from .core import Vocabulary
 from .errors import ConfigError
 from .masking import MODE_FIXED, MaskPlan, special_mask
 
@@ -104,37 +104,11 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
     return out, 1
 
 
-def rc_label_lut(vocab: Vocabulary) -> np.ndarray:
-    """``vocab.rc_label(i)`` for every id, -1 where it raises (special ids, missing complements).
-
-    Built on first use, in one pass over the token strings, and kept on
-    the vocabulary.
-    """
-    if vocab._rc_label_lut is None:
-        lut = np.full(len(vocab), -1, dtype=np.int64)
-        n = vocab.n_nonspecial
-        if vocab.kind == BPE:
-            lut[:n] = np.arange(n)
-        else:
-            tokens = vocab.tokens[:n]
-            # complement and reverse all tokens at once: reversing the joined
-            # string reverses each token and their order
-            rcs = rc_string("\n".join(tokens)).split("\n")[::-1]
-            if len(rcs) != n:  # some token holds a newline
-                rcs = [rc_string(token) for token in tokens]
-            to_id = vocab._token_to_id.get
-            fill = -1 if vocab.cull_id is None else vocab.cull_id
-            lut[:n] = [to_id(rc, fill) for rc in rcs]
-        lut.flags.writeable = False
-        vocab._rc_label_lut = lut
-    return vocab._rc_label_lut
-
-
 def csp_targets(plan: MaskPlan, vocab: Vocabulary) -> GuidingTargets:
     """Label every strictly unmasked non-special position with its RC token."""
     positions = (~(plan.in_mask | plan.special_mask)).nonzero()[0]
     originals = plan.original_ids[positions]
-    labels = rc_label_lut(vocab)[originals]
+    labels = vocab.rc_labels()[originals]
     missing = labels < 0
     if missing.any():
         vocab.rc_label(int(originals[missing][0]))  # raises: no complement and no [CULL]

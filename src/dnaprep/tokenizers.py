@@ -84,9 +84,30 @@ def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
 
 
 _POWERS = 4 ** np.arange(12, dtype=np.int32)  # 4**j for every k-mer digit j (k <= 12)
-_ONES = np.ones(12, dtype=bool)
 _DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
 _IDENTITY = "identity"
+_LUT_CHUNK = 1 << 16  # token strings _value_lut reads at once
+
+
+def _pure_kmers(tokens: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``tokens`` of the length-k tokens made of A, C, G and T, and their base-4 values.
+
+    The tokens are joined into one byte string and the digits gathered
+    from it column by column.
+    """
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    positions = (lengths == k).nonzero()[0]
+    starts = np.cumsum(lengths)[positions] - k
+    # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
+    digits = np.frombuffer("".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE), dtype=np.uint8)
+    values = np.zeros(positions.size, dtype=np.int32)
+    pure = np.ones(positions.size, dtype=bool)
+    for j in range(k):
+        digit = digits[starts + j]
+        pure &= digit < 4
+        values <<= 2
+        values += digit
+    return positions[pure], values[pure]
 
 
 def _value_lut(vocab: Vocabulary):
@@ -95,31 +116,23 @@ def _value_lut(vocab: Vocabulary):
     Returns None when the k-mers hold ids 0 .. 4**k - 1 in value order
     (the mapping is the identity, so callers can skip the gather); for a
     culled vocabulary, values whose token was removed map to the [CULL] id.
-    Every token of length k made of A, C, G and T is read at once: the
-    tokens are joined into one byte string and their digits gathered from
-    it column by column.
+    The tokens are read ``_LUT_CHUNK`` at a time, so that beside the
+    table itself only one chunk's arrays are held.
     """
     if vocab._kmer_value_lut is not None:
         cached = vocab._kmer_value_lut
         return None if cached is _IDENTITY else cached
     k = vocab.k
-    tokens = vocab.tokens
-    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-    ids = (lengths == k).nonzero()[0]
-    # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
-    text = "".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE)
-    digits = np.frombuffer(text, dtype=np.uint8)
-    starts = (np.cumsum(lengths) - lengths)[ids]
-    values = np.zeros(ids.size, dtype=np.int32)
-    pure = np.ones(ids.size, dtype=bool)
-    for j in range(k):
-        digit = digits[starts + j]
-        pure &= digit < 4
-        values <<= 2
-        values += digit
     lut = np.full(4**k, -1, dtype=np.int32)
-    lut[values[pure]] = ids[pure]
-    if np.array_equal(lut, np.arange(lut.size)):
+    identity, n_kmers = True, 0
+    for first in range(0, len(vocab.tokens), _LUT_CHUNK):
+        ids, values = _pure_kmers(vocab.tokens[first : first + _LUT_CHUNK], k)
+        ids += first
+        lut[values] = ids
+        # token strings are distinct, so 4**k k-mers each at its own value is the identity
+        identity = identity and np.array_equal(ids, values)
+        n_kmers += ids.size
+    if identity and n_kmers == lut.size:
         vocab._kmer_value_lut = _IDENTITY
         return None
     missing = lut < 0
@@ -131,9 +144,9 @@ def _value_lut(vocab: Vocabulary):
     return lut
 
 
-# Inputs up to this many bases get their stride-1 values (and N flags)
-# from one np.convolve; longer ones from a shift-add (shift-or) pass per
-# digit. Values timed on a 2-vCPU host, k = 6, convolve vs shift-add:
+# Inputs up to this many bases get their stride-1 values from one
+# np.convolve; longer ones from a shift-add pass per digit. Timed on a
+# 2-vCPU host, k = 6, convolve vs shift-add:
 # 512 bases 8.3 vs 22.3 us, 1024 14.0 vs 21.9, 2048 30.6 vs 28.7, 4096
 # 43.6 vs 25.2 (k = 3 and k = 12 cross over near 1024 as well).
 _CONVOLVE_MAX = 1024
@@ -160,8 +173,6 @@ def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | Non
         return None
     if stride != 1:
         return n_flags.reshape(m, k).any(axis=1)
-    if codes.size <= _CONVOLVE_MAX:
-        return np.convolve(n_flags, _ONES[:k], "valid")
     has_n = n_flags[:m].copy()
     for j in range(1, k):
         has_n |= n_flags[j : j + m]
@@ -211,7 +222,7 @@ def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: 
 
     Ids are written straight into the returned array, between the slots
     kept for [CLS] and [SEP]. Drop mode compacts each block's kept windows
-    in place, so its result is a view of the array's first entries.
+    in place, then shrinks the array to the kept ids.
     ``any_n`` False promises that ``codes`` hold no N, which skips the
     N flags.
     """
@@ -238,7 +249,10 @@ def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: 
                 vals[has_n] = vocab.unk_id  # every id fits int32 (4**12 + specials)
     if pad:
         out[0], out[pad + kept] = head[0], tail[0]
-    return out if kept == m else out[: kept + 2 * pad]
+    if kept < m:
+        del core, vals  # no view of ``out`` may outlive the resize
+        out.resize(kept + 2 * pad, refcheck=False)
+    return out
 
 
 def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dnaprep import (
     select_targets,
     sop_transform,
 )
-from dnaprep.guiding import rc_label_lut
+from dnaprep.core import rc_string
 
 V3 = build_kmer_vocab(3)
 
@@ -230,7 +230,7 @@ class TestRcLabelLut:
         ids=["kmer", "word", "culled", "bpe"],
     )
     def test_table_equals_rc_label(self, vocab):
-        lut = rc_label_lut(vocab)
+        lut = vocab.rc_labels()
         assert [int(lut[i]) for i in range(vocab.n_nonspecial)] == [
             vocab.rc_label(i) for i in range(vocab.n_nonspecial)
         ]
@@ -263,19 +263,29 @@ class TestRcLabelLut:
         """Specials and complements missing without [CULL] hold -1, where rc_label raises."""
 
         def reference(token_id):
-            try:
-                return vocab.rc_label(token_id)
-            except ValueError:
+            if vocab.is_special(token_id):
                 return -1
+            if vocab.kind == "bpe":
+                return token_id
+            rc = rc_string(vocab.tokens[token_id])
+            if rc in vocab:
+                return vocab.id_of(rc)
+            return -1 if vocab.cull_id is None else vocab.cull_id
 
-        lut = rc_label_lut(vocab)
+        lut = vocab.rc_labels()
         assert lut.tolist() == [reference(i) for i in range(len(vocab))]
         assert not lut.flags.writeable
-        assert rc_label_lut(vocab) is lut
+        assert vocab.rc_labels() is lut
+        for token_id, label in enumerate(lut.tolist()):
+            if label < 0:
+                with pytest.raises(ValueError):
+                    vocab.rc_label(token_id)
+            else:
+                assert vocab.rc_label(token_id) == label
 
     def test_culled_complements_fall_back_to_cull(self):
         vocab = cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]
-        lut = rc_label_lut(vocab)
+        lut = vocab.rc_labels()
         for kept in ("GTT", "CTT", "CGT"):  # complements AAC, AAG, ACG were culled
             assert lut[vocab.id_of(kept)] == vocab.cull_id
 

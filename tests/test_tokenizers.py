@@ -413,6 +413,8 @@ def test_stride_one_window_values_memory_per_base():
     ids, peak = _peak_bytes(tokenize, seq, spec)
     assert ids.size == n - 3 - has_n.sum()
     assert peak / n < 5.75
+    # the dropped windows' slots are given back: the ids own exactly their own bytes
+    assert ids.base is None and ids.nbytes == 4 * ids.size
 
 
 # -- window-kernel oracles ---------------------------------------------------
@@ -513,7 +515,7 @@ class TestWindowKernels:
         spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
         with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
             ids = tokenize(DnaSequence(bases), spec)
-        assert ids.dtype == np.int32
+        assert ids.dtype == np.int32 and ids.base is None
         assert ids.tolist() == reference_ids(vocab, bases, n_mode, sentinels)
 
     def test_n_free_input_skips_the_flag_pass(self):
@@ -538,11 +540,22 @@ def _vocab_from(tokens, k):
     return Vocabulary(kind="kmer", tokens=tokens, specials=specials, k=k)
 
 
+_LUT_CHUNKS = pytest.mark.parametrize("chunk", [1, 7, 64, tokenizers._LUT_CHUNK])
+
+
+def _uncached(vocab):
+    """A copy of ``vocab`` that holds no value table yet."""
+    return Vocabulary(vocab.kind, vocab.tokens, vocab.specials, vocab.k)
+
+
 class TestValueLut:
+    @_LUT_CHUNKS
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
-    def test_complete_vocabularies_are_the_identity(self, k):
-        assert tokenizers._value_lut(build_kmer_vocab(k)) is None
-        assert tokenizers._value_lut(build_kmer_vocab(k, include_n_tokens=True, kind="word")) is None
+    def test_complete_vocabularies_are_the_identity(self, k, chunk):
+        with mock.patch.object(tokenizers, "_LUT_CHUNK", chunk):
+            assert tokenizers._value_lut(_uncached(build_kmer_vocab(k))) is None
+            word = build_kmer_vocab(k, include_n_tokens=True, kind="word")
+            assert tokenizers._value_lut(_uncached(word)) is None
 
     @pytest.mark.parametrize(
         "vocab",
@@ -553,11 +566,16 @@ class TestValueLut:
             _vocab_from(sorted(build_kmer_vocab(3).tokens[:64], key=lambda t: t[::-1]), 3),
             # every k-mer after an extra pure token and a non-ASCII one
             _vocab_from(["AC", "é" * 3] + list(build_kmer_vocab(3).tokens[:64]), 3),
+            # every k-mer but the last at its own value
+            _vocab_from([*build_kmer_vocab(2).tokens[:15], "[CULL]"], 2),
         ],
-        ids=["culled_k3", "culled_k6_n_tokens", "permuted", "extra_tokens"],
+        ids=["culled_k3", "culled_k6_n_tokens", "permuted", "extra_tokens", "last_kmer_culled"],
     )
-    def test_table_matches_per_kmer_lookup(self, vocab):
-        lut = tokenizers._value_lut(vocab)
+    @_LUT_CHUNKS
+    def test_table_matches_per_kmer_lookup(self, vocab, chunk):
+        vocab = _uncached(vocab)
+        with mock.patch.object(tokenizers, "_LUT_CHUNK", chunk):
+            lut = tokenizers._value_lut(vocab)
         assert lut is not None and lut.dtype == np.int32
         assert lut.tolist() == reference_value_lut(vocab)
 
