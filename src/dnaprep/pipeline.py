@@ -246,11 +246,14 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
         sequences = read_fasta(cfg.fasta_path)
     manifest_path = cfg.out_path + ".manifest.json"
     n_records = 0
-    # the batch is renamed into place before its manifest
+    # the batch is hashed as it is written, and renamed into place before its manifest
+    batch_digest = hashlib.sha256()
     with _atomic_output(manifest_path) as manifest_tmp, _atomic_output(cfg.out_path) as batch_tmp:
         with open(batch_tmp, "xb") as out:
             for ordinal, seq in enumerate(iter_windows(sequences, cfg.window)):
-                out.write(build_record(seq, ordinal, spec, mask_cfg, cfg))
+                line = build_record(seq, ordinal, spec, mask_cfg, cfg)
+                out.write(line)
+                batch_digest.update(line)
                 n_records += 1
 
         manifest = {
@@ -261,7 +264,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
                 "vocab": _sha256(cfg.vocab_path),
                 "fasta": _sha256(cfg.fasta_path) if os.path.exists(cfg.fasta_path) else None,
             },
-            "outputs": {"batch": _sha256(batch_tmp), "records": n_records},
+            "outputs": {"batch": batch_digest.hexdigest(), "records": n_records},
         }
         with open(manifest_tmp, "xb") as fh:
             fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))

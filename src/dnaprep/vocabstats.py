@@ -28,9 +28,9 @@ FREQ_BANDS = ("low", "mid", "high")
 ACC_BANDS = ("low", "high")
 CULL_FRACTION_MAX = 0.10
 
-# Successor keys gathered across records before one np.unique counts them
-# into the table of distinct pairs: the buffer never holds more than this
-# many keys plus one record's.
+# Successor keys gathered across records before one sort counts them into
+# the table of distinct pairs: the buffer never holds more than this many
+# keys plus one record's.
 _PAIR_BUFFER = 1 << 20
 
 
@@ -53,10 +53,15 @@ def compute_token_stats(
 
     Returns one row per vocabulary id, ordered by id. ``rel_freq`` is
     normalized over non-special emissions. ``accuracy`` maps token ids to
-    externally measured prediction accuracies; unknown ids are rejected.
+    externally measured prediction accuracies; unknown ids are rejected
+    before the corpus is read.
     """
     vocab = spec.vocab
     size = len(vocab)
+    if accuracy is not None:
+        unknown = sorted(set(accuracy) - set(range(size)))
+        if unknown:
+            raise DataError(f"accuracy file references unknown token ids: {unknown}")
     freq = np.zeros(size, dtype=np.int64)
     # the narrowest unsigned type holding every successor key left * size + right
     key_type = np.min_scalar_type(size * size)
@@ -75,10 +80,7 @@ def compute_token_stats(
             # counted with the pairs below
             freq[ids[-1]] += 1
         if ids.size >= 2:
-            pairs = ids[:-1].astype(key_type)
-            pairs *= size
-            # casts the right ids a block at a time, not in one record-long copy
-            np.add(pairs, ids[1:], out=pairs, dtype=key_type, casting="unsafe")
+            pairs = _successor_keys(ids, size, key_type)
             del ids
             buffer.append(pairs)
             buffered += pairs.size
@@ -107,34 +109,48 @@ def compute_token_stats(
         # 0 - x, not -x: a row whose one successor has p = 1 sums to 0.0,
         # and its entropy is +0.0, not -0.0
         entropy = 0.0 - sums
-    if accuracy is not None:
-        unknown = sorted(set(accuracy) - set(range(size)))
-        if unknown:
-            raise DataError(f"accuracy file references unknown token ids: {unknown}")
     nonspecial_total = int(freq[: vocab.n_nonspecial].sum())
-    denom = nonspecial_total if nonspecial_total else 1
+    rel_freq = freq / (nonspecial_total if nonspecial_total else 1)
+    accuracies = [None] * size if accuracy is None else [accuracy.get(i) for i in range(size)]
     return [
-        TokenStats(
-            token_id=i,
-            token=vocab.tokens[i],
-            frequency=int(freq[i]),
-            rel_freq=freq[i] / denom,
-            context_entropy=float(entropy[i]),
-            accuracy=None if accuracy is None else accuracy.get(i),
-        )
-        for i in range(size)
+        TokenStats(*row)
+        for row in zip(range(size), vocab.tokens, freq.tolist(), rel_freq.tolist(), entropy.tolist(), accuracies)
     ]
+
+
+def _successor_keys(ids: np.ndarray, size: int, key_type: np.dtype) -> np.ndarray:
+    """The key left * size + right of every successor pair in ``ids``, as ``key_type``.
+
+    Both passes cast the ids as they go, so no record-long copy of them is
+    made; unsafe casting lets the int32 ids into a uint8 or uint16 key type
+    (k <= 3).
+    """
+    keys = np.multiply(ids[:-1], size, dtype=key_type, casting="unsafe")
+    np.add(keys, ids[1:], out=keys, dtype=key_type, casting="unsafe")
+    return keys
+
+
+def _run_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how many times each occurs."""
+    edges = np.empty(keys.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)  # where each run starts, then the end
+    return keys[bounds[:-1]], np.diff(bounds)
 
 
 def _merge_pairs(keys: np.ndarray, counts: np.ndarray, buffer: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Count the buffered successor keys into the sorted (keys, counts) table.
 
     Empties ``buffer`` as it reads it, so the buffered arrays are freed
-    before their keys are sorted.
+    before their keys are sorted. The keys are sorted in place: the array
+    is this function's own, either the concatenation or the one record's
+    keys that the buffer alone held.
     """
     new = buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)
     buffer.clear()
-    new, new_counts = np.unique(new, return_counts=True)
+    new.sort()
+    new, new_counts = _run_counts(new)
     merged, inverse = np.unique(np.concatenate((keys, new)), return_inverse=True)
     # float sums of integers below 2**53 are exact
     totals = np.bincount(inverse, weights=np.concatenate((counts, new_counts)), minlength=merged.size)

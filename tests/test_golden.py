@@ -3,9 +3,9 @@
 Each case runs the pipeline over one small fixed FASTA (N runs, lowercase
 bases, a window tail shorter than k, a record spanning several windows,
 a record shorter than k, an all-N record) and compares the sha256 of the
-batch file with a digest recorded from an earlier release. A change to
-any of these digests is a change of the output format and must be made
-on purpose.
+batch file with a digest recorded from an earlier release. The vocab-stats
+CSV is pinned the same way. A change to any of these digests is a change
+of the output format and must be made on purpose.
 """
 
 import hashlib
@@ -16,12 +16,17 @@ from dnaprep import (
     CullSpec,
     DnaSequence,
     PipelineConfig,
+    TokenizerSpec,
+    Vocabulary,
     bpe_train,
+    bucket_tokens,
     build_kmer_vocab,
+    compute_token_stats,
     cull_vocab,
     read_fasta,
     run_pipeline,
 )
+from dnaprep.vocabstats import write_stats_csv
 
 FASTA = (
     ">chr_a first record, several windows\n"
@@ -151,3 +156,34 @@ def test_odd_seq_ids_are_escaped(inputs):
     seqs.append(DnaSequence(bases * 3, "longé"))
     got = batch_digest(root, fasta, paths["k6"], "odd", sequences=seqs, guiding=ALL_TASKS, sop_reverse_prob=0.5, p=0.05)
     assert got == DIGESTS["odd_seq_ids"]
+
+
+# name -> (vocabulary, TokenizerSpec overrides, with an accuracy map and buckets)
+CSV_CASES = {
+    "k6_as_unk_sentinels": ("k6", dict(add_sentinels=True), False),
+    "k6_seg_n": ("k6n", dict(n_mode="seg_n"), False),
+    "word3": ("word3", {}, False),
+    "bpe": ("bpe", {}, False),
+    "k3_culled_accuracy_buckets": ("k3_culled", {}, True),
+}
+
+CSV_DIGESTS = {
+    "k6_as_unk_sentinels": "5a6fcad3e5a566971ad5b52151eb724a303920c62dea152aa4b8830be93efaf5",
+    "k6_seg_n": "12102760289bb4945c3a846c850ca2c1dea1ba7d7a266ef9114227297441a8f3",
+    "word3": "c0655316a3de9da18df4765aa32f694d80bb96d00d60214548aebab3fbe18e7a",
+    "bpe": "6323d29539ce84a00d64889883c759eb4ef38cbdfe6c9c5bf0b22a7168cc0083",
+    "k3_culled_accuracy_buckets": "2348aaf250d1dd6cfef534d2456be2940d5e7c4da14f47066d1c51870b201b52",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_vocab_stats_csv_digest(inputs, name):
+    root, fasta, paths = inputs
+    vocab_name, overrides, with_accuracy = CSV_CASES[name]
+    vocab = Vocabulary.load(paths[vocab_name])
+    # spread, tied and repeated accuracies over every non-special id, [CULL] included
+    accuracy = {i: (i * 37 % 11) / 10 for i in range(vocab.n_nonspecial)} if with_accuracy else None
+    stats = compute_token_stats(read_fasta(fasta), TokenizerSpec(vocab, **overrides), accuracy=accuracy)
+    out = root / f"{name}.csv"
+    write_stats_csv(out, stats, bucket_tokens(stats) if with_accuracy else None)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name]

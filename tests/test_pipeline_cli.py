@@ -108,6 +108,7 @@ class TestRunPipeline:
         assert (tmp_path / "out.jsonl").read_bytes() == b""
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         assert manifest["outputs"]["records"] == 0
+        assert manifest["outputs"]["batch"] == hashlib.sha256(b"").hexdigest()
 
     def test_manifest_reproducibility_fields(self, tmp_path, vocab3_path):
         fasta = write_fasta(tmp_path, ">a\nACGTACGT\n")
@@ -121,6 +122,8 @@ class TestRunPipeline:
         with open(fasta, "rb") as fh:
             assert manifest["inputs"]["fasta"] == hashlib.sha256(fh.read()).hexdigest()
         assert manifest["outputs"]["batch"] == result.output_digest
+        # hashed as written: the digest of the bytes that landed in the file
+        assert result.output_digest == hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
 
     def test_fixed_vs_flawed_crafted_diff(self, tmp_path, vocab6_path):
         # 10 bases -> 5 body tokens at k=6; a lone target at position 2

@@ -83,6 +83,15 @@ class TestTokenStats:
                 [DnaSequence("ACGT")], TokenizerSpec(V3), accuracy={9999: 0.5}
             )
 
+    @pytest.mark.parametrize("bad_id", [9999, len(V3), -1])
+    def test_unknown_accuracy_ids_rejected_before_the_corpus_is_read(self, bad_id):
+        def corpus():
+            raise AssertionError("the corpus was read")
+            yield
+
+        with pytest.raises(DataError, match=f"unknown token ids: \\[{bad_id}\\]"):
+            compute_token_stats(corpus(), TokenizerSpec(V3), accuracy={0: 0.5, bad_id: 0.5})
+
     def test_successor_entropy_k8_matches_python_reference(self):
         # 65541 ids, so a successor key left * size + right needs 33 bits
         vocab = build_kmer_vocab(8)
@@ -242,6 +251,76 @@ def _peak_mib_of_token_stats(records: int) -> float:
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout) / 1024
+
+
+# k -> (vocabulary size, the key type of its successor keys); at k = 8
+# the 65,541 tokens need 33 bits for the largest key
+_KEY_VOCABS = {
+    k: (len(build_kmer_vocab(k)), key_type)
+    for k, key_type in ((1, np.uint8), (2, np.uint16), (3, np.uint16), (6, np.uint32), (8, np.uint64))
+}
+_KEY_TYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+class TestSuccessorKeys:
+    """The two-pass key build equals left * size + right in int64 arithmetic."""
+
+    @staticmethod
+    def assert_keys(ids, k):
+        size, key_type = _KEY_VOCABS[k]
+        assert np.min_scalar_type(size * size) == key_type
+        ids = np.asarray(ids, dtype=np.int32)  # the tokenizer's id type
+        keys = vocabstats._successor_keys(ids, size, np.dtype(key_type))
+        wide = ids.astype(np.int64)
+        assert keys.dtype == key_type
+        assert np.array_equal(keys.astype(np.int64), wide[:-1] * size + wide[1:])
+
+    @pytest.mark.parametrize("k", sorted(_KEY_VOCABS))
+    def test_extreme_ids(self, k):
+        top = _KEY_VOCABS[k][0] - 1
+        self.assert_keys([top, top, 0, top, 0, 0, 1, top - 1], k)
+
+    @given(st.sampled_from(sorted(_KEY_VOCABS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_ids(self, k, data):
+        top = _KEY_VOCABS[k][0] - 1
+        ids = data.draw(st.lists(st.integers(0, top) | st.sampled_from([0, top]), min_size=2, max_size=200))
+        self.assert_keys(ids, k)
+
+
+class TestRunCounts:
+    """Counting the runs of a sorted buffer gives np.unique's distinct keys and counts."""
+
+    @staticmethod
+    def assert_run_counts(values, key_type):
+        keys = np.sort(np.asarray(values, dtype=key_type))
+        got_keys, got_counts = vocabstats._run_counts(keys)
+        want_keys, want_counts = np.unique(keys, return_counts=True)
+        assert got_keys.dtype == key_type
+        assert np.array_equal(got_keys, want_keys)
+        assert np.array_equal(got_counts, want_counts)
+        assert got_counts.dtype == np.int64
+
+    @pytest.mark.parametrize("key_type", _KEY_TYPES)
+    def test_empty_single_and_all_equal_buffers(self, key_type):
+        top = np.iinfo(key_type).max
+        for values in ([], [0], [top], [5] * 1000, [top] * 3, [0, top]):
+            self.assert_run_counts(values, key_type)
+
+    @given(st.sampled_from(_KEY_TYPES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_buffers(self, key_type, data):
+        top = int(np.iinfo(key_type).max)
+        # few distinct values give long runs, the full range gives short ones
+        values = st.integers(0, 3) | st.integers(0, top) | st.sampled_from([0, top])
+        self.assert_run_counts(data.draw(st.lists(values, max_size=300)), key_type)
+
+    def test_merge_sorts_its_own_buffer_in_place(self):
+        # one buffered array is the record's own keys: sorted where it lies
+        pairs = np.array([9, 3, 9, 1, 3, 9], dtype=np.uint32)
+        keys, counts = vocabstats._merge_pairs(np.array([3, 4], np.uint32), np.array([2, 5]), [pairs])
+        assert keys.tolist() == [1, 3, 4, 9] and counts.tolist() == [1, 4, 5, 3]
+        assert pairs.tolist() == [1, 3, 3, 9, 9, 9]
 
 
 class TestBuckets:
