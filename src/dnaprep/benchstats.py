@@ -67,43 +67,40 @@ class ScalingRecord:
             raise DataError(f"pretrain_size must be positive, got {self.pretrain_size}")
 
 
-def load_runs_csv(path) -> list[RunRecord]:
-    """Read a dataset_id,variant,seed,metric_value table."""
-    out: list[RunRecord] = []
+_RUN_COLUMNS = {"dataset_id": str.strip, "variant": str.strip, "seed": int, "metric_value": float}
+_SCALING_COLUMNS = {"dataset_id": str.strip, "pretrain_size": float, "metric_value": float}
+
+
+def _load_csv(path, name: str, columns: dict, record: type) -> list:
+    """One ``record`` per row of a CSV whose header names ``columns``, each field read by its converter.
+
+    A short row, a field its converter rejects, or a record that rejects
+    its values is a DataError naming the path and line.
+    """
+    out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"dataset_id", "variant", "seed", "metric_value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(f"runs CSV must have columns {sorted(required)}")
+        if reader.fieldnames is None or not columns.keys() <= set(reader.fieldnames):
+            raise DataError(f"{name} CSV must have columns {sorted(columns)}")
         for row in reader:
-            out.append(
-                RunRecord(
-                    dataset_id=row["dataset_id"].strip(),
-                    variant=row["variant"].strip(),
-                    seed=int(row["seed"]),
-                    metric_value=float(row["metric_value"]),
-                )
-            )
+            missing = [column for column in columns if row[column] is None]
+            if missing:
+                raise DataError(f"{path}: line {reader.line_num}: row has no {', '.join(missing)}")
+            try:
+                out.append(record(**{column: read(row[column]) for column, read in columns.items()}))
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
+
+
+def load_runs_csv(path) -> list[RunRecord]:
+    """Read a dataset_id,variant,seed,metric_value table."""
+    return _load_csv(path, "runs", _RUN_COLUMNS, RunRecord)
 
 
 def load_scaling_csv(path) -> list[ScalingRecord]:
     """Read a dataset_id,pretrain_size,metric_value table."""
-    out: list[ScalingRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"dataset_id", "pretrain_size", "metric_value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(f"scaling CSV must have columns {sorted(required)}")
-        for row in reader:
-            out.append(
-                ScalingRecord(
-                    dataset_id=row["dataset_id"].strip(),
-                    pretrain_size=float(row["pretrain_size"]),
-                    metric_value=float(row["metric_value"]),
-                )
-            )
-    return out
+    return _load_csv(path, "scaling", _SCALING_COLUMNS, ScalingRecord)
 
 
 def dataset_sigma(values, estimator: str = "sample") -> float:
@@ -238,12 +235,14 @@ def shapiro_wilk(samples) -> tuple[float, float]:
 
 @dataclass
 class StabilityReport:
+    """Per-dataset verdicts; the fit fields are None when no fit was made."""
+
     passes: dict[str, bool]
     sigmas: dict[str, float]
     log_sigmas: dict[str, float]
-    mu: float
-    sigma: float
-    threshold_sigma: float
+    mu: float | None
+    sigma: float | None
+    threshold_sigma: float | None
     sw_w: float | None
     sw_p: float | None
     override: float | None = None
@@ -259,20 +258,24 @@ def stability_filter(
     A dataset passes when log(sigma_D) < mu + sigma of the fitted normal
     (all pass when the fitted sigma is zero), or when sigma_D is below
     ``threshold_override`` if one is given. Zero-variance datasets pass
-    automatically and are excluded from the fit.
+    automatically and are excluded from the fit. The fit needs at least
+    three datasets with positive sigma; with an override and fewer, no
+    fit is made and its fields are None.
     """
     positive = {d: s for d, s in sigmas.items() if s > 0}
-    if len(positive) < 3:
-        raise DataError(f"need >= 3 datasets with positive sigma, got {len(positive)}")
     logs = {d: math.log(s) for d, s in positive.items()}
-    values = np.array(list(logs.values()))
-    mu = float(values.mean())
-    ddof = 1 if estimator == "sample" else 0
-    sigma = float(values.std(ddof=ddof))
-    try:
-        sw_w, sw_p = shapiro_wilk(values)
-    except (DataError, ValueError):
-        sw_w = sw_p = None
+    mu = sigma = threshold_sigma = sw_w = sw_p = None
+    if len(positive) >= 3:
+        values = np.array(list(logs.values()))
+        mu = float(values.mean())
+        sigma = float(values.std(ddof=1 if estimator == "sample" else 0))
+        threshold_sigma = math.exp(mu + sigma)
+        try:
+            sw_w, sw_p = shapiro_wilk(values)
+        except (DataError, ValueError):
+            pass
+    elif threshold_override is None:
+        raise DataError(f"need >= 3 datasets with positive sigma, got {len(positive)}")
     passes: dict[str, bool] = {}
     for dataset, s in sigmas.items():
         if s <= 0:
@@ -287,7 +290,7 @@ def stability_filter(
         log_sigmas=logs,
         mu=mu,
         sigma=sigma,
-        threshold_sigma=math.exp(mu + sigma),
+        threshold_sigma=threshold_sigma,
         sw_w=sw_w,
         sw_p=sw_p,
         override=threshold_override,
@@ -329,21 +332,18 @@ def validity_filter(
     runs,
     scaling=(),
     r2_min: float = 0.4,
-    log_size: bool = True,
 ) -> dict[str, ValidityRow]:
     """Per-dataset pretraining-benefit and scaling-law checks.
 
     Benefit requires the mean pretrained metric to strictly beat the mean
-    of every baseline variant. Scaling fits metric against log10 size
-    (or raw size with ``log_size=False``) and requires positive slope and
-    R^2 > r2_min; datasets with fewer than 3 distinct sizes are marked
-    indeterminate rather than failed.
+    of every baseline variant. Scaling fits metric against log10 size and
+    requires positive slope and R^2 > r2_min; datasets with fewer than 3
+    distinct sizes are marked indeterminate rather than failed.
     """
     grouped = _group_runs(runs)
     scale_pts: dict[str, list[tuple[float, float]]] = {}
     for rec in scaling:
-        x = math.log10(rec.pretrain_size) if log_size else rec.pretrain_size
-        scale_pts.setdefault(rec.dataset_id, []).append((x, rec.metric_value))
+        scale_pts.setdefault(rec.dataset_id, []).append((math.log10(rec.pretrain_size), rec.metric_value))
     out: dict[str, ValidityRow] = {}
     for dataset, variants in grouped.items():
         if PRETRAINED not in variants:
@@ -432,7 +432,6 @@ def criteria_report(
     sigma_threshold: float | None = None,
     r2_min: float = 0.4,
     estimator: str = "sample",
-    log_size: bool = True,
 ) -> CriteriaReport:
     """Run both criteria over a run table and join the results.
 
@@ -447,12 +446,9 @@ def criteria_report(
         if len(values) >= 2:
             sigmas[dataset] = dataset_sigma(values, estimator)
     stab = None
-    if len([s for s in sigmas.values() if s > 0]) >= 3:
+    if sigma_threshold is not None or len([s for s in sigmas.values() if s > 0]) >= 3:
         stab = stability_filter(sigmas, threshold_override=sigma_threshold, estimator=estimator)
-    elif sigma_threshold is not None:
-        passes = {d: s < sigma_threshold or s == 0 for d, s in sigmas.items()}
-        stab = StabilityReport(passes, sigmas, {}, math.nan, math.nan, math.nan, None, None, sigma_threshold)
-    validity = validity_filter(runs, scaling, r2_min=r2_min, log_size=log_size)
+    validity = validity_filter(runs, scaling, r2_min=r2_min)
     rows: dict[str, dict] = {}
     selected: list[str] = []
     for dataset in grouped:

@@ -14,14 +14,16 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
 from .core import BPE, KMER, WORD, Vocabulary, build_kmer_vocab
 from .errors import ConfigError, DataError, DnaPrepError
 from .fasta import read_fasta
 from .guiding import GUIDING_TASKS
-from .leakage import empirical_plan_leakage, leakage_report
-from .masking import MASK_MODES, MODE_FIXED, MaskPlan
+from .leakage import leakage_report, run_leakage
+from .masking import MASK_MODES, MODE_FIXED
 from .pipeline import PipelineConfig, _atomic_output, iter_windows, run_pipeline
 from .tokenizers import N_MODE_AS_UNK, N_MODES, TokenizerSpec, bpe_train, tokenize
 from .vocabstats import (
@@ -197,11 +199,8 @@ def _cmd_leakage(args) -> int:
         with open(args.batch, "rb") as fh:
             for line in fh:
                 record = json.loads(line)
-                plan = _plan_from_record(record)
-                out = {
-                    "seq_id": record.get("seq_id"),
-                    "leakage_percent": empirical_plan_leakage(plan, args.k),
-                }
+                leakage = run_leakage(_record_targets(record), args.k)  # checks the record first
+                out = {"seq_id": record.get("seq_id"), "leakage_percent": leakage}
                 print(json.dumps(out, separators=(",", ":")))
         return EXIT_OK
     if args.m is None:
@@ -210,34 +209,32 @@ def _cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_record(record: dict) -> MaskPlan:
-    """A fixed-mode plan holding a batch record's targets ``m``, all the leakage report reads.
+def _record_targets(record) -> np.ndarray:
+    """A batch record's targets ``m``, ascending and distinct.
 
-    Every position the record names in ``m``, ``m_in`` and ``labels``
-    must be an index of its ``input_ids``.
+    The record must hold a list of integer ``input_ids``, and every
+    position it names in ``m``, ``m_in`` and ``labels`` must be an index
+    of them; anything else is a DataError naming the record.
     """
-    import numpy as np
-
-    ids = np.asarray(record["input_ids"], dtype=np.int64)
-    labeled = [int(pos) for pos in record["labels"]]
-    for name, positions in (("m", record["m"]), ("m_in", record["m_in"]), ("labels", labeled)):
+    if not isinstance(record, dict):
+        raise DataError(f"batch line holds a JSON {type(record).__name__}, not a record")
+    name = record.get("seq_id")
+    ids = record.get("input_ids")
+    if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
+        raise DataError(f"record {name!r}: input_ids must be a list of integer ids")
+    labels = record.get("labels")
+    if not isinstance(labels, dict):
+        raise DataError(f"record {name!r}: labels must be an object of position: id")
+    labeled = [int(pos) if pos.lstrip("-").isdigit() else pos for pos in labels]
+    for field, positions in (("m", record.get("m")), ("m_in", record.get("m_in")), ("labels", labeled)):
+        if not isinstance(positions, list):
+            raise DataError(f"record {name!r}: {field} must be a list of positions")
         for pos in positions:
-            if type(pos) is not int or not 0 <= pos < ids.size:
+            if type(pos) is not int or not 0 <= pos < len(ids):
                 raise DataError(
-                    f"record {record.get('seq_id')!r}: {name} position {pos!r} "
-                    f"is not an index of its {ids.size} input ids"
+                    f"record {name!r}: {field} position {pos!r} is not an index of its {len(ids)} input ids"
                 )
-    target_mask = np.zeros(ids.size, dtype=bool)
-    target_mask[record["m"]] = True
-    empty = np.zeros(ids.size, dtype=bool)
-    return MaskPlan(
-        input_ids=ids,
-        original_ids=ids,
-        target_mask=target_mask,
-        in_mask=empty,
-        label_mask=empty,
-        special_mask=empty,
-    )
+    return np.unique(np.array(record["m"], dtype=np.int64))
 
 
 def _cmd_vocab_stats(args) -> int:

@@ -176,9 +176,6 @@ class Vocabulary:
         except KeyError:
             raise DataError(f"token {token!r} not in vocabulary") from None
 
-    def token_of(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
@@ -242,24 +239,44 @@ class Vocabulary:
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Vocabulary":
+        """Parse a vocabulary file; a file of another shape is a DataError naming what is wrong."""
         try:
             obj = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"not a vocabulary file: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"not a vocabulary file: a JSON {type(obj).__name__}, not an object")
         if obj.get("format_version") != VOCAB_FORMAT_VERSION:
             raise DataError(f"unsupported vocabulary format_version {obj.get('format_version')!r}")
-        return cls(
-            kind=obj["kind"],
-            tokens=tuple(obj["tokens"]),
-            specials={str(k): int(v) for k, v in obj["specials"].items()},
-            k=obj.get("k"),
-            merges=tuple((l, r) for l, r in obj.get("merges", [])),
-        )
+        fields = {"k": None, "merges": [], **obj}
+        for key, (valid, what) in _VOCAB_FIELDS.items():
+            if key not in fields:
+                raise DataError(f"vocabulary file has no {key!r}")
+            if not valid(fields[key]):
+                raise DataError(f"vocabulary {key!r} must be {what}")
+        return cls(**{key: fields[key] for key in _VOCAB_FIELDS})
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, "rb") as fh:
             return cls.from_json_bytes(fh.read())
+
+
+def _list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {kind}
+
+
+# each field of a vocabulary file: (check, what the check wants)
+_VOCAB_FIELDS = {
+    "kind": (lambda v: v in VOCAB_KINDS, f"one of {', '.join(VOCAB_KINDS)}"),
+    "tokens": (lambda v: _list_of(v, str), "a list of strings"),
+    "specials": (lambda v: isinstance(v, dict) and _list_of([*v.values()], int), "an object of integer ids"),
+    "k": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "merges": (
+        lambda v: _list_of(v, list) and all(len(m) == 2 and _list_of(m, str) for m in v),
+        "a list of string pairs",
+    ),
+}
 
 
 def _with_specials(tokens: list[str]) -> tuple[tuple[str, ...], dict[str, int]]:

@@ -31,10 +31,6 @@ TASK_SOP = "sop"
 TASK_CSP = "csp"
 GUIDING_TASKS = (TASK_FTM, TASK_MST, TASK_SOP, TASK_CSP)
 
-LABEL_SPACE_V = "vocab"
-LABEL_SPACE_RC = "rc_vocab"
-LABEL_SPACE_BINARY = "binary"
-
 
 @dataclass
 class GuidingTargets:
@@ -47,7 +43,6 @@ class GuidingTargets:
     task: str
     position_array: np.ndarray
     label_array: np.ndarray
-    label_space: str
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -65,7 +60,7 @@ def ftm_targets(plan: MaskPlan) -> GuidingTargets:
     if plan.k < 2:
         raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
     positions = (plan.in_mask & ~plan.target_mask).nonzero()[0]
-    return GuidingTargets(TASK_FTM, positions, plan.original_ids[positions], LABEL_SPACE_V)
+    return GuidingTargets(TASK_FTM, positions, plan.original_ids[positions])
 
 
 def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
@@ -78,7 +73,7 @@ def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
     positions = plan.special_mask.nonzero()[0]
     updated = plan.input_ids.copy()
     updated[positions] = plan.mask_id
-    return updated, GuidingTargets(TASK_MST, positions, tokens[positions], LABEL_SPACE_V)
+    return updated, GuidingTargets(TASK_MST, positions, tokens[positions])
 
 
 def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> tuple[np.ndarray, int]:
@@ -112,4 +107,4 @@ def csp_targets(plan: MaskPlan, vocab: Vocabulary) -> GuidingTargets:
     missing = labels < 0
     if missing.any():
         vocab.rc_label(int(originals[missing][0]))  # raises: no complement and no [CULL]
-    return GuidingTargets(TASK_CSP, positions, labels, LABEL_SPACE_RC)
+    return GuidingTargets(TASK_CSP, positions, labels)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import NUCLEOTIDES
 from .errors import ResourceLimitError
 from .masking import MaskPlan
@@ -159,24 +161,21 @@ def enumerate_consistent_completions(window: str, k: int) -> int:
 # -- plan-level application ------------------------------------------------------
 
 
-def empirical_plan_leakage(plan: MaskPlan, k: int) -> float:
-    """Length-weighted mean leakage over a plan's maximal target runs.
+def run_leakage(positions, k: int) -> float:
+    """Length-weighted mean leakage over the maximal runs of consecutive target ``positions``.
 
-    The target set is decomposed into maximal runs of consecutive
-    positions; each run of length m contributes leakage_ratio(k, m)
-    weighted by m. An empty target set has zero leakage by definition.
+    ``positions`` are ascending and distinct. Each run of length m
+    contributes leakage_ratio(k, m) weighted by m. An empty target set
+    has zero leakage by definition.
     """
-    positions = sorted(plan.m_positions)
-    if not positions:
+    positions = np.asarray(positions)
+    if positions.size == 0:
         return 0.0
-    runs: list[int] = []
-    run_len = 1
-    for prev, cur in zip(positions, positions[1:]):
-        if cur == prev + 1:
-            run_len += 1
-        else:
-            runs.append(run_len)
-            run_len = 1
-    runs.append(run_len)
-    total = sum(runs)
-    return sum(m * leakage_ratio(k, m) for m in runs) / total
+    ends = np.flatnonzero(np.diff(positions) != 1)  # the last index of every run but the final one
+    runs = np.diff(ends, prepend=-1, append=positions.size - 1)
+    return sum(m * leakage_ratio(k, m) for m in runs.tolist()) / positions.size
+
+
+def empirical_plan_leakage(plan: MaskPlan, k: int) -> float:
+    """Length-weighted mean leakage over a plan's maximal target runs (see :func:`run_leakage`)."""
+    return run_leakage(np.flatnonzero(plan.target_mask), k)

@@ -62,6 +62,8 @@ class MaskConfig:
         master_seed: int = 0,
     ) -> "MaskConfig":
         """Derive k (1 for word/BPE), the special ids, and the MASK id."""
+        if "MASK" not in vocab.specials:
+            raise ConfigError("masking requires a MASK special token")
         k = vocab.k if vocab.kind == "kmer" else 1
         return cls(
             p=p,

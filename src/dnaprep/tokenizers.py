@@ -26,8 +26,8 @@ import heapq
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,19 +56,29 @@ _N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 @dataclass
 class TokenizerSpec:
-    """A vocabulary plus the N-handling mode and sentinel flag."""
+    """A vocabulary plus the N-handling mode and sentinel flag.
+
+    ``n_run_cover``: the ``(width, id)`` of each N-run token, longest
+    first, found once for seg_n mode (empty in the others).
+    """
 
     vocab: Vocabulary
     n_mode: str = N_MODE_AS_UNK
     add_sentinels: bool = False
+    n_run_cover: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_mode not in N_MODES:
             raise ConfigError(f"unknown n_mode {self.n_mode!r}")
-        if self.n_mode == N_MODE_SEG and not self.vocab.n_run_tokens():
-            raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
         if self.n_mode == N_MODE_AS_UNK and "UNK" not in self.vocab.specials:
             raise ConfigError("as_unk mode requires an UNK special token")
+        if self.add_sentinels and not {"CLS", "SEP"} <= self.vocab.specials.keys():
+            raise ConfigError("sentinels require CLS and SEP special tokens")
+        self.n_run_cover = ()
+        if self.n_mode == N_MODE_SEG:
+            self.n_run_cover = tuple((len(t), self.vocab.id_of(t)) for t in self.vocab.n_run_tokens())
+            if not self.n_run_cover:
+                raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
 
 
 def _codes(bases: str) -> np.ndarray:
@@ -179,10 +189,6 @@ def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | Non
     return has_n
 
 
-def _window_count(n: int, k: int, stride: int) -> int:
-    return max(0, n - k + 1) if stride == 1 else n // k
-
-
 def _value_blocks(
     codes: np.ndarray, k: int, stride: int, out: np.ndarray, any_n: bool = True
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
@@ -207,30 +213,22 @@ def _value_blocks(
         yield start, stop, _n_flags(part, k, stride, vals.size) if any_n else None
 
 
-def _window_values(codes: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-4 value of each width-k window plus a contains-N flag."""
-    vals = np.empty(_window_count(codes.size, k, stride), dtype=np.int32)
-    has_n = np.zeros(vals.size, dtype=bool)
-    for start, stop, flags in _value_blocks(codes, k, stride, vals):
-        if flags is not None:
-            has_n[start:stop] = flags
-    return vals, has_n
-
-
-def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool) -> np.ndarray:
-    """The spec's ids for ``codes`` in as_unk or drop mode, sentinels included.
+def _ids_from_codes(
+    codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, sentinels: bool
+) -> np.ndarray:
+    """The spec's ids for ``codes`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
 
     Ids are written straight into the returned array, between the slots
     kept for [CLS] and [SEP]. Drop mode compacts each block's kept windows
     in place, then shrinks the array to the kept ids.
     ``any_n`` False promises that ``codes`` hold no N, which skips the
-    N flags.
+    N flags (and makes the N mode irrelevant).
     """
     vocab = spec.vocab
     lut = _value_lut(vocab)
-    head, tail = _sentinels(vocab, spec.add_sentinels)
+    head, tail = _sentinels(vocab, sentinels)
     pad = len(head)
-    m = _window_count(codes.size, vocab.k, stride)
+    m = max(0, codes.size - vocab.k + 1) if stride == 1 else codes.size // vocab.k
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
     kept = 0
@@ -257,8 +255,10 @@ def _ids_from_codes(codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: 
 
 def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int) -> np.ndarray:
     if spec.n_mode == N_MODE_SEG:
-        return _segmented_ids(bases, spec.vocab, stride, spec.add_sentinels)
-    return _ids_from_codes(_codes(bases), spec, stride, any_n=N_CHAR in bases)
+        return _split_at_n(
+            bases, spec, lambda run: _ids_from_codes(_codes(run), spec, stride, any_n=False, sentinels=False)
+        )
+    return _ids_from_codes(_codes(bases), spec, stride, any_n=N_CHAR in bases, sentinels=spec.add_sentinels)
 
 
 def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
@@ -285,7 +285,7 @@ def tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
         return kmer_tokenize(seq, spec)
     if spec.vocab.kind == WORD:
         return word_tokenize(seq, spec)
-    return bpe_encode(seq, spec.vocab, n_mode=spec.n_mode, add_sentinels=spec.add_sentinels)
+    return _bpe_ids(seq.bases, spec)
 
 
 # -- N segmentation ---------------------------------------------------------
@@ -297,35 +297,37 @@ def _iter_n_runs(bases: str) -> Iterator[tuple[int, int, bool]]:
         yield m.start(), m.end(), bases[m.start()] == N_CHAR
 
 
-def _cover_n_run(length: int, priority: tuple[str, ...]) -> list[str]:
-    out: list[str] = []
+def _cover_n_run(length: int, cover: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Ids of the N-run tokens covering ``length`` N's, each as often as fits, longest first."""
+    counts = []
     rem = length
-    for tok in priority:
-        width = len(tok)
-        reps = rem // width
-        if reps:
-            out.extend([tok] * reps)
-            rem -= reps * width
+    for width, _ in cover:
+        reps, rem = divmod(rem, width)
+        counts.append(reps)
     if rem:
-        raise DataError(
-            f"N run residue of {rem} not coverable by priority tokens {list(priority)}"
-        )
-    return out
+        widths = [width for width, _ in cover]
+        raise DataError(f"N run residue of {rem} not coverable by N-run tokens of widths {widths}")
+    return np.repeat(np.array([token_id for _, token_id in cover], dtype=np.int32), counts)
 
 
-def _segmented_ids(bases: str, vocab: Vocabulary, stride: int, add_sentinels: bool = False) -> np.ndarray:
-    """seg_n: tokenize non-N stretches with the tokenizer's own stride."""
-    priority = vocab.n_run_tokens()
-    lut = _value_lut(vocab)
-    head, tail = _sentinels(vocab, add_sentinels)
+def _split_at_n(bases: str, spec: TokenizerSpec, encode: Callable[[str], np.ndarray]) -> np.ndarray:
+    """The spec's ids for ``bases``, split at N: each N-free stretch encoded by ``encode``.
+
+    Each N run then follows the spec's N mode: seg_n covers it with the
+    N-run tokens, as_unk gives one [UNK] per N and drop gives nothing.
+    No token spans an N. k-mer and word tokenizers take this path in
+    seg_n mode only (their as_unk and drop act per window); BPE takes it
+    in every mode.
+    """
+    head, tail = _sentinels(spec.vocab, spec.add_sentinels)
     parts = [np.array(head, dtype=np.int32)]
     for start, end, is_n in _iter_n_runs(bases):
-        if is_n:
-            covered = _cover_n_run(end - start, priority)
-            parts.append(np.array([vocab.id_of(t) for t in covered], dtype=np.int32))
-        else:
-            vals, _ = _window_values(_codes(bases[start:end]), vocab.k, stride)
-            parts.append(vals if lut is None else lut[vals])
+        if not is_n:
+            parts.append(encode(bases[start:end]))
+        elif spec.n_mode == N_MODE_SEG:
+            parts.append(_cover_n_run(end - start, spec.n_run_cover))
+        elif spec.n_mode == N_MODE_AS_UNK:
+            parts.append(np.full(end - start, spec.vocab.unk_id, dtype=np.int32))
     parts.append(np.array(tail, dtype=np.int32))
     return np.concatenate(parts)
 
@@ -557,6 +559,20 @@ class _BpeEncoder(_BpeState):
             heapq.heappop(heap)
         return None
 
+    def ids(self, vocab: Vocabulary) -> np.ndarray:
+        """The encoded tokens' ids in ``vocab``, [CULL] for a culled token."""
+        table = [vocab._token_to_id.get(s, vocab.cull_id) for s in self.strings]
+        ids = [table[t] for t in self.tok if t >= 0]
+        if None in ids:
+            missing = next(self.strings[t] for t in self.tok if t >= 0 and table[t] is None)
+            raise DataError(f"token {missing!r} missing from BPE vocabulary")
+        return np.array(ids, dtype=np.int32)
+
+
+def _bpe_ids(bases: str, spec: TokenizerSpec) -> np.ndarray:
+    ranks = _merge_ranks(spec.vocab)
+    return _split_at_n(bases, spec, lambda run: _BpeEncoder([run], ranks).ids(spec.vocab))
+
 
 def bpe_encode(
     seq: DnaSequence,
@@ -568,35 +584,12 @@ def bpe_encode(
 
     N splits the sequence into independently encoded runs; each N itself
     resolves per ``n_mode`` (seg_n requires N-run tokens in the
-    vocabulary, which stock BPE vocabularies do not carry).
+    vocabulary, which stock BPE vocabularies do not carry). The mode and
+    vocabulary are checked as :class:`TokenizerSpec` checks them.
     """
     if vocab.kind != BPE:
         raise ConfigError(f"bpe_encode requires a BPE vocabulary, got {vocab.kind}")
-    if n_mode not in N_MODES:
-        raise ConfigError(f"unknown n_mode {n_mode!r}")
-    if n_mode == N_MODE_SEG and not vocab.n_run_tokens():
-        raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
-    ranks = _merge_ranks(vocab)
-    head, tail = _sentinels(vocab, add_sentinels)
-    ids = head
-    for start, end, is_n in _iter_n_runs(seq.bases):
-        if is_n:
-            if n_mode == N_MODE_AS_UNK:
-                ids.extend([vocab.unk_id] * (end - start))
-            elif n_mode == N_MODE_SEG:
-                ids.extend(
-                    vocab.id_of(t) for t in _cover_n_run(end - start, vocab.n_run_tokens())
-                )
-            continue
-        state = _BpeEncoder([seq.bases[start:end]], ranks)
-        table = [vocab._token_to_id.get(s, vocab.cull_id) for s in state.strings]
-        for t in state.tok:
-            if t >= 0:
-                if table[t] is None:
-                    raise DataError(f"token {state.strings[t]!r} missing from BPE vocabulary")
-                ids.append(table[t])
-    ids.extend(tail)
-    return np.asarray(ids, dtype=np.int32)
+    return _bpe_ids(seq.bases, TokenizerSpec(vocab, n_mode, add_sentinels))
 
 
 def decode_ids(ids, vocab: Vocabulary) -> str:
@@ -629,7 +622,6 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
     chunks = min(threads, m // _MIN_CHUNK)
     if chunks <= 1 or spec.n_mode == N_MODE_SEG:
         return kmer_tokenize(seq, spec)
-    inner = TokenizerSpec(spec.vocab, spec.n_mode, add_sentinels=False)
     codes = _codes(seq.bases)
     any_n = N_CHAR in seq.bases
     step = -(-m // chunks)
@@ -638,7 +630,7 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
     def chunk(span: tuple[int, int]) -> np.ndarray:
         s, e = span
         # numpy view, no copy: the heavy ufunc work runs GIL-free
-        return _ids_from_codes(codes[s : e + k - 1], inner, stride=1, any_n=any_n)
+        return _ids_from_codes(codes[s : e + k - 1], spec, 1, any_n, sentinels=False)
 
     head, tail = _sentinels(spec.vocab, spec.add_sentinels)
     with ThreadPoolExecutor(max_workers=chunks) as pool:

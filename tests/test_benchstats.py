@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +274,22 @@ class TestCriteriaReport:
         assert "datasets" in report.to_json()
         assert "dataset" in report.to_table()
 
+    def test_override_without_a_fit_writes_strict_json(self):
+        """Two datasets leave no fit; the override still decides, and the fit fields are null."""
+        runs = [rec for rec in self.make_runs() if rec.dataset_id != "weak"]
+        report = criteria_report(runs, [], sigma_threshold=1.5)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        out = json.loads(report.to_json(), parse_constant=reject)
+        assert set(out["global"].values()) == {None}  # mu, sigma, threshold_sigma, shapiro_w, shapiro_p
+        assert out["datasets"]["good"]["stability"] is True
+        assert out["datasets"]["unstable"]["stability"] is False
+
+
+RUNS_HEADER = "dataset_id,variant,seed,metric_value\n"
+
 
 class TestCsvLoaders:
     def test_runs_round_trip(self, tmp_path):
@@ -289,6 +307,22 @@ class TestCsvLoaders:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             load_runs_csv(path)
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_runs_csv, RUNS_HEADER + "d1,pretrained\n", "line 2: row has no seed, metric_value"),
+            (load_runs_csv, RUNS_HEADER + "d1,pretrained,0,1\nd1,pretrained,x,2\n", "line 3: invalid literal for int"),
+            (load_runs_csv, RUNS_HEADER + "d1,pretrained,0,150\n", "line 2: metric 150.0 out of"),
+            (load_scaling_csv, "dataset_id,pretrain_size,metric_value\nd1,ten,1\n", "line 2: could not convert"),
+        ],
+        ids=["short_row", "non_integer_seed", "metric_out_of_range", "non_numeric_size"],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, loader, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            loader(path)
 
     def test_scaling_round_trip(self, tmp_path):
         path = tmp_path / "scaling.csv"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,29 @@ class TestSerialization:
         path = tmp_path / "bpe.json"
         vocab.save(path)
         assert Vocabulary.load(path).merges == vocab.merges
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1, 2], "a JSON list, not an object"),
+            ({"tokens": ["A"], "specials": {}}, "has no 'kind'"),
+            ({"kind": "bpe", "specials": {}}, "has no 'tokens'"),
+            ({"kind": "bpe", "tokens": ["A"]}, "has no 'specials'"),
+            ({"kind": 3, "tokens": ["A"], "specials": {}}, "'kind' must be one of kmer, word, bpe"),
+            ({"kind": "kmers", "tokens": ["A"], "specials": {}}, "'kind' must be one of kmer, word, bpe"),
+            ({"kind": "bpe", "tokens": "ACGT", "specials": {}}, "'tokens' must be a list of strings"),
+            ({"kind": "bpe", "tokens": ["A", 1], "specials": {}}, "'tokens' must be a list of strings"),
+            ({"kind": "bpe", "tokens": ["A"], "specials": ["UNK"]}, "'specials' must be an object"),
+            ({"kind": "bpe", "tokens": ["A", "[UNK]"], "specials": {"UNK": "1"}}, "'specials' must be an object"),
+            ({"kind": "kmer", "tokens": ["A"], "specials": {}, "k": "1"}, "'k' must be an integer or null"),
+            ({"kind": "bpe", "tokens": ["A"], "specials": {}, "merges": [["A"]]}, "'merges' must be a list of"),
+        ],
+    )
+    def test_rejects_a_file_of_another_shape(self, obj, message):
+        if isinstance(obj, dict):
+            obj = {"format_version": 1, **obj}
+        with pytest.raises(DataError, match=re.escape(message)):
+            Vocabulary.from_json_bytes(json.dumps(obj).encode())
 
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(DataError):

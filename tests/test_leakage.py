@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dnaprep import (
     MaskConfig,
@@ -16,6 +18,7 @@ from dnaprep import (
     max_entropy_ratio,
     neighbor_mask,
 )
+from dnaprep.leakage import run_leakage
 
 
 class TestLeakageRatio:
@@ -116,6 +119,23 @@ class TestEnumerationOracle:
         assert enumerate_consistent_completions(first_span, 3) == 64
 
 
+def loop_leakage(positions, k):
+    """Length-weighted mean leakage, walking the sorted targets one pair at a time."""
+    positions = sorted(positions)
+    if not positions:
+        return 0.0
+    runs = []
+    run_len = 1
+    for prev, cur in zip(positions, positions[1:]):
+        if cur == prev + 1:
+            run_len += 1
+        else:
+            runs.append(run_len)
+            run_len = 1
+    runs.append(run_len)
+    return sum(m * leakage_ratio(k, m) for m in runs) / sum(runs)
+
+
 class TestEmpiricalPlanLeakage:
     def setup_method(self):
         self.vocab = build_kmer_vocab(4)
@@ -138,3 +158,10 @@ class TestEmpiricalPlanLeakage:
         plan = self.plan_for([5, 6, 7, 20, 21, 22, 23, 24, 25, 26, 27])
         expected = (3 * 100.0 + 8 * 37.5) / 11
         assert abs(empirical_plan_leakage(plan, 4) - expected) < 1e-12
+
+    @given(st.sets(st.integers(0, 300), max_size=120), st.integers(1, 8))
+    def test_run_lengths_match_the_loop(self, targets, k):
+        positions = sorted(targets)
+        assert run_leakage(np.array(positions, dtype=np.int64), k) == loop_leakage(positions, k)
+        plan = self.plan_for([p for p in positions if p < 60])
+        assert empirical_plan_leakage(plan, k) == loop_leakage(plan.m_positions, k)

@@ -41,6 +41,13 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh]
 
 
+def without_special(obj, name):
+    """A vocabulary file's JSON ``obj`` with the special token ``name`` left out."""
+    tokens = [token for token in obj["tokens"] if token != f"[{name}]"]
+    specials = {other: tokens.index(f"[{other}]") for other in obj["specials"] if other != name}
+    return {**obj, "tokens": tokens, "specials": specials}
+
+
 def _raise_no_space(*args, **kwargs):
     raise OSError(28, "No space left on device")
 
@@ -235,6 +242,34 @@ class TestCli:
         assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not an index" in captured.err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"labels": None}, "record 'r': labels must be an object of position: id"),
+            ({"m": None}, "record 'r': m must be a list of positions"),
+            ({"m_in": None}, "record 'r': m_in must be a list of positions"),
+            ({"input_ids": None}, "record 'r': input_ids must be a list of integer ids"),
+            ({"input_ids": [2, None, 4, 4, 3]}, "record 'r': input_ids must be a list of integer ids"),
+        ],
+        ids=["no_labels", "no_m", "no_m_in", "no_input_ids", "null_id"],
+    )
+    def test_leakage_batch_rejects_a_malformed_record(self, tmp_path, capsys, change, message):
+        record = {"seq_id": "r", "input_ids": [2, 4, 4, 4, 3], "m_in": [0, 1, 2], "m": [1], "labels": {"1": 7}}
+        record.update(change)
+        record = {key: value for key, value in record.items() if value is not None}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "DataError", "message": message}
+
+    def test_leakage_batch_rejects_a_line_that_is_not_a_record(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n")
+        assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
+        assert "not a record" in json.loads(capsys.readouterr().err)["message"]
 
     def test_leakage_closed_form(self, capsys):
         assert main(["leakage", "--k", "6", "--m", "6"]) == 0
@@ -490,6 +525,34 @@ class TestCli:
             "error": "ConfigError",
             "message": f"master seed must be >= 0, got {seed}",
         }
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, reshape, code, error, message",
+        [
+            (["mask"], lambda obj: {**obj, "kind": None}, 2, "DataError", "vocabulary 'kind' must be one of kmer, word, bpe"),
+            (["mask"], lambda obj: {k: obj[k] for k in obj.keys() - {"kind"}}, 2, "DataError", "vocabulary file has no 'kind'"),
+            (["mask"], lambda obj: [], 2, "DataError", "not a vocabulary file: a JSON list, not an object"),
+            (["mask"], lambda obj: without_special(obj, "MASK"), 1, "ConfigError", "masking requires a MASK special token"),
+            (
+                ["tokenize", "--sentinels"],
+                lambda obj: without_special(obj, "CLS"),
+                1,
+                "ConfigError",
+                "sentinels require CLS and SEP special tokens",
+            ),
+        ],
+        ids=["null_kind", "no_kind", "array", "no_mask", "no_cls"],
+    )
+    def test_vocabulary_shape_and_roles_fail_before_any_input(self, tmp_path, capsys, argv, reshape, code, error, message):
+        vocab_path = tmp_path / "v.json"
+        vocab_path.write_text(json.dumps(reshape(json.loads(build_kmer_vocab(3).to_json_bytes()))))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # the FASTA is missing: a run that got as far as reading it would fail on that
+        fasta = str(tmp_path / "absent.fa")
+        assert main([*argv, "--vocab", str(vocab_path), "--fasta", fasta, "--out", str(out_dir / "o")]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("prob", ["2", "-0.5", "nan"])

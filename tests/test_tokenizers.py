@@ -22,6 +22,7 @@ from dnaprep import (
     build_kmer_vocab,
     cull_vocab,
     decode_ids,
+    iter_windows,
     kmer_tokenize,
     kmer_tokenize_parallel,
     tokenize,
@@ -42,7 +43,7 @@ def bpe_with_n_runs(vocab):
 
 
 def segment_with_n(seq, k, priority=None):
-    """String-level oracle of ``tokenizers._segmented_ids`` at stride k.
+    """String-level oracle of seg_n mode at stride k (the word tokenizer).
 
     Non-N stretches are tiled in steps of k (sub-k remainders dropped);
     each maximal N run is covered greedily by the longest priority token
@@ -72,6 +73,15 @@ def segment_with_n(seq, k, priority=None):
 
 def toks(vocab, ids):
     return [vocab.tokens[i] for i in ids]
+
+
+def without_specials(vocab, *names):
+    """``vocab`` with the special tokens ``names`` left out."""
+    base = list(vocab.tokens[: vocab.n_nonspecial])
+    keep = [name for name in vocab.specials if name not in names]
+    specials = {name: len(base) + i for i, name in enumerate(keep)}
+    tokens = base + [f"[{name}]" for name in keep]
+    return Vocabulary(kind=vocab.kind, tokens=tokens, specials=specials, k=vocab.k, merges=vocab.merges)
 
 
 class TestKmer:
@@ -195,7 +205,7 @@ class TestSegmentWithN:
     @given(dna, st.integers(1, 4))
     def test_segmented_ids_match_oracle(self, bases, k):
         vocab = build_kmer_vocab(k, include_n_tokens=True, kind="word")
-        got = tokenizers._segmented_ids(bases, vocab, k)
+        got = word_tokenize(DnaSequence(bases), TokenizerSpec(vocab, n_mode="seg_n"))
         want = [vocab.id_of(t) for t in segment_with_n(DnaSequence(bases), k, vocab.n_run_tokens())]
         assert got.tolist() == want
 
@@ -213,6 +223,16 @@ class TestSegmentWithN:
         vocab = build_kmer_vocab(2)
         with pytest.raises(ConfigError):
             TokenizerSpec(vocab, n_mode="seg_n")
+
+    @pytest.mark.parametrize("kind", ["kmer", "word", "bpe"])
+    def test_n_run_tokens_are_found_once_per_spec(self, kind):
+        vocab = _BPE_N if kind == "bpe" else build_kmer_vocab(3, include_n_tokens=True, kind=kind)
+        lookup = mock.patch.object(Vocabulary, "n_run_tokens", autospec=True, side_effect=Vocabulary.n_run_tokens)
+        with lookup as found:
+            spec = TokenizerSpec(vocab, n_mode="seg_n", add_sentinels=True)
+            for window in iter_windows([DnaSequence("ACGTNNNNNACGTTN" * 20)], 32):
+                tokenize(window, spec)
+        assert found.call_count == 1
 
 
 class TestBpeTrain:
@@ -322,6 +342,24 @@ class TestBpeEncode:
         ids = bpe_encode(DnaSequence("ANT"), vocab, n_mode="drop")
         assert toks(vocab, ids) == ["A", "T"]
 
+    @pytest.mark.parametrize(
+        "missing, n_mode, sentinels",
+        [
+            ((), "bogus", False),
+            ((), "seg_n", False),
+            (("UNK",), "as_unk", False),
+            (("CLS",), "drop", True),
+            (("SEP",), "drop", True),
+        ],
+    )
+    def test_rejects_what_the_spec_rejects(self, missing, n_mode, sentinels):
+        vocab = without_specials(bpe_vocab_from_merges([("A", "T")]), *missing)
+        with pytest.raises(ConfigError) as spec_error:
+            TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+        with pytest.raises(ConfigError) as encode_error:
+            bpe_encode(DnaSequence("ATNAT"), vocab, n_mode=n_mode, add_sentinels=sentinels)
+        assert str(encode_error.value) == str(spec_error.value)
+
     @given(acgt)
     @settings(max_examples=50)
     def test_round_trip(self, bases):
@@ -390,28 +428,22 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_stride_one_window_values_memory_per_base():
-    """Only the int32 values and the N flags span the record (5 bytes per
-    base); the rest is one block's int32 codes and values. ``tokenize``
-    holds the base codes and the ids (with their two sentinel slots) and
-    handles each block's N windows in place, in both modes."""
+def test_stride_one_tokenize_memory_per_base():
+    """``tokenize`` holds the base codes and the ids (with their two
+    sentinel slots) and handles each block's N windows in place, in both
+    modes; the rest is one block's int32 codes and values."""
     rng = np.random.default_rng(1)
     n = 1 << 20
     codes = rng.integers(0, 4, n).astype(np.uint8)
     codes[rng.random(n) < 0.02] = 4
-    (vals, has_n), peak = _peak_bytes(tokenizers._window_values, codes, 6, 1)
-    assert peak < 5 * n + 9 * tokenizers._VALUE_BLOCK
-    want = sum(np.minimum(codes[j : j + n - 5], 3).astype(np.int64) << (2 * (5 - j)) for j in range(6))
-    assert np.array_equal(vals, want)
-    assert vals.dtype == np.int32
-    assert np.array_equal(has_n, np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0)
+    n_windows = int((np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0).sum())
     seq = DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii"))
     ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
     assert ids.size == n - 3
     assert peak / n < 5.5
     spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
     ids, peak = _peak_bytes(tokenize, seq, spec)
-    assert ids.size == n - 3 - has_n.sum()
+    assert ids.size == n - 3 - n_windows
     assert peak / n < 5.75
     # the dropped windows' slots are given back: the ids own exactly their own bytes
     assert ids.base is None and ids.nbytes == 4 * ids.size
@@ -480,26 +512,35 @@ def oracle_vocab(kind, k):
     return cull_vocab(full, CullSpec(gone))[0]
 
 
+def window_ids(bases, k, stride):
+    """``_ids_from_codes`` in as_unk mode through a complete k-mer vocabulary and the want list.
+
+    A complete vocabulary's id of a k-mer is its base-4 value, and its
+    [UNK] id lies past every value, so the ids are the kernel's values
+    with the N windows marked.
+    """
+    vocab = oracle_vocab("kmer" if stride == 1 else "word", k)
+    spec = TokenizerSpec(vocab)
+    ids = tokenizers._ids_from_codes(tokenizers._codes(bases), spec, stride, any_n=True, sentinels=False)
+    want_vals, want_n = reference_values(bases, k, stride)
+    return ids, [vocab.unk_id if n else v for v, n in zip(want_vals, want_n)]
+
+
 class TestWindowKernels:
-    @given(long_bases(), st.integers(1, 12), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
+    @given(long_bases(), st.integers(1, 8), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
     @settings(max_examples=200, deadline=None)
     def test_values_match_per_kmer_reference(self, bases, k, convolve_max):
         """Both value kernels, forced or chosen by length, against int(kmer, 4)."""
-        want_vals, want_n = reference_values(bases, k)
-        codes = tokenizers._codes(bases)
         with mock.patch.object(tokenizers, "_CONVOLVE_MAX", convolve_max):
-            vals, has_n = tokenizers._window_values(codes, k, 1)
-        assert vals.dtype == np.int32
-        assert vals.tolist() == want_vals
-        assert has_n.tolist() == want_n
+            ids, want = window_ids(bases, k, 1)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == want
 
-    @given(long_bases(), st.integers(1, 12))
+    @given(long_bases(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_word_values_match_per_kmer_reference(self, bases, k):
-        want_vals, want_n = reference_values(bases, k, stride=k)
-        vals, has_n = tokenizers._window_values(tokenizers._codes(bases), k, k)
-        assert vals.tolist() == want_vals
-        assert has_n.tolist() == want_n
+        ids, want = window_ids(bases, k, k)
+        assert ids.tolist() == want
 
     @given(
         long_bases(),
