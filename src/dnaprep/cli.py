@@ -225,7 +225,7 @@ def _record_targets(record) -> np.ndarray:
     labels = record.get("labels")
     if not isinstance(labels, dict):
         raise DataError(f"record {name!r}: labels must be an object of position: id")
-    labeled = [int(pos) if pos.lstrip("-").isdigit() else pos for pos in labels]
+    labeled = [int(pos) if pos.isdecimal() else pos for pos in labels]
     for field, positions in (("m", record.get("m")), ("m_in", record.get("m_in")), ("labels", labeled)):
         if not isinstance(positions, list):
             raise DataError(f"record {name!r}: {field} must be a list of positions")

@@ -251,8 +251,10 @@ class TestCli:
             ({"m_in": None}, "record 'r': m_in must be a list of positions"),
             ({"input_ids": None}, "record 'r': input_ids must be a list of integer ids"),
             ({"input_ids": [2, None, 4, 4, 3]}, "record 'r': input_ids must be a list of integer ids"),
+            ({"labels": {"\u00b2": 7}}, "record 'r': labels position '\u00b2' is not an index of its 5 input ids"),
+            ({"labels": {"--3": 7}}, "record 'r': labels position '--3' is not an index of its 5 input ids"),
         ],
-        ids=["no_labels", "no_m", "no_m_in", "no_input_ids", "null_id"],
+        ids=["no_labels", "no_m", "no_m_in", "no_input_ids", "null_id", "superscript_key", "double_minus_key"],
     )
     def test_leakage_batch_rejects_a_malformed_record(self, tmp_path, capsys, change, message):
         record = {"seq_id": "r", "input_ids": [2, 4, 4, 4, 3], "m_in": [0, 1, 2], "m": [1], "labels": {"1": 7}}

@@ -512,14 +512,28 @@ def oracle_vocab(kind, k):
     return cull_vocab(full, CullSpec(gone))[0]
 
 
-def window_ids(bases, k, stride):
-    """``_ids_from_codes`` in as_unk mode through a complete k-mer vocabulary and the want list.
+@functools.lru_cache(maxsize=None)
+def identity_vocab(kind, k):
+    """A k-mer or word vocabulary whose id of every k-mer is its base-4 value.
 
-    A complete vocabulary's id of a k-mer is its base-4 value, and its
-    [UNK] id lies past every value, so the ids are the kernel's values
-    with the N windows marked.
+    Up to k = 8 it is the complete vocabulary. Past that 4**k tokens are
+    too many to build, so the four homopolymers stand in, with the value
+    table marked as the identity that a complete vocabulary's would be.
     """
-    vocab = oracle_vocab("kmer" if stride == 1 else "word", k)
+    if k <= 8:
+        return oracle_vocab(kind, k)
+    tokens, specials = _with_specials([base * k for base in "ACGT"])
+    vocab = Vocabulary(kind=kind, tokens=tokens, specials=specials, k=k)
+    vocab._kmer_value_lut = tokenizers._IDENTITY
+    return vocab
+
+
+def window_ids(bases, k, stride):
+    """``_ids_from_codes`` in as_unk mode through ``identity_vocab`` and the want list.
+
+    The ids are the kernel's values with [UNK] at the N windows.
+    """
+    vocab = identity_vocab("kmer" if stride == 1 else "word", k)
     spec = TokenizerSpec(vocab)
     ids = tokenizers._ids_from_codes(tokenizers._codes(bases), spec, stride, any_n=True, sentinels=False)
     want_vals, want_n = reference_values(bases, k, stride)
@@ -527,7 +541,7 @@ def window_ids(bases, k, stride):
 
 
 class TestWindowKernels:
-    @given(long_bases(), st.integers(1, 8), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
+    @given(long_bases(), st.integers(1, 12), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
     @settings(max_examples=200, deadline=None)
     def test_values_match_per_kmer_reference(self, bases, k, convolve_max):
         """Both value kernels, forced or chosen by length, against int(kmer, 4)."""
@@ -536,7 +550,7 @@ class TestWindowKernels:
         assert ids.dtype == np.int32
         assert ids.tolist() == want
 
-    @given(long_bases(), st.integers(1, 8))
+    @given(long_bases(), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_word_values_match_per_kmer_reference(self, bases, k):
         ids, want = window_ids(bases, k, k)
