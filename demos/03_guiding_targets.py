@@ -38,7 +38,7 @@ print("\nMST masks sentinels at:", mst.positions)
 print("MST labels:", {p: vocab.tokens[l] for p, l in mst.labels.items()})
 
 rng = np.random.default_rng(1)
-swapped, label = sop_transform(tokens, 1.0, rng, special_ids=vocab.special_ids)
+swapped, label = sop_transform(tokens, 1.0, rng, first_special_id=vocab.n_nonspecial)
 print("\nSOP forced swap, label =", label)
 print("  before:", [vocab.tokens[i] for i in tokens[1:-1]])
 print("  after: ", [vocab.tokens[i] for i in swapped[1:-1]])

@@ -171,11 +171,11 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    spec = TokenizerSpec(vocab, n_mode=args.n_mode, add_sentinels=args.sentinels)
-    seqs = read_fasta(args.fasta)
+    seqs = read_fasta(args.fasta)  # a generator: nothing is read yet
     if args.window:
         seqs = iter_windows(seqs, args.window)
+    vocab = Vocabulary.load(args.vocab)
+    spec = TokenizerSpec(vocab, n_mode=args.n_mode, add_sentinels=args.sentinels)
     with _atomic_output(args.out) as tmp, open(tmp, "xb") as out:
         for seq in seqs:
             record = {"seq_id": seq.source_id, "ids": tokenize(seq, spec).tolist()}
@@ -195,6 +195,9 @@ def _cmd_guide(args) -> int:
 
 
 def _cmd_leakage(args) -> int:
+    for flag, value in (("--k", args.k), ("--m", args.m)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.batch:
         with open(args.batch, "rb") as fh:
             for line in fh:
@@ -249,12 +252,15 @@ def _cmd_vocab_stats(args) -> int:
 
 
 def _cmd_cull(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
     if args.remove.startswith("@"):
         with open(args.remove[1:]) as fh:
-            ids = [int(line) for line in fh if line.strip()]
+            ids = [int(line) for line in fh if line.strip()]  # a bad line is a data error
     else:
-        ids = [int(part) for part in args.remove.split(",") if part.strip()]
+        try:
+            ids = [int(part) for part in args.remove.split(",") if part.strip()]
+        except ValueError:
+            raise ConfigError(f"--remove must be comma-separated token ids, got {args.remove!r}") from None
+    vocab = Vocabulary.load(args.vocab)
     culled, remap = cull_vocab(vocab, CullSpec(frozenset(ids)))
     # the remap is renamed into place first and the vocabulary last, so a
     # run that fails on either file leaves no new vocabulary behind

@@ -37,6 +37,7 @@ KMER = "kmer"
 WORD = "word"
 BPE = "bpe"
 VOCAB_KINDS = (KMER, WORD, BPE)
+MAX_K = 12  # the widest k-mer: 4**12 values and the specials fit int32 ids
 
 SPECIAL_NAMES = ("CLS", "SEP", "MASK", "PAD", "UNK")
 SPECIAL_TOKENS = {name: f"[{name}]" for name in SPECIAL_NAMES}
@@ -118,12 +119,13 @@ class Vocabulary:
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _kmer_value_lut: object = field(init=False, repr=False, compare=False, default=None)
     _rc_label_lut: object = field(init=False, repr=False, compare=False, default=None)
+    _merge_rank_table: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in VOCAB_KINDS:
             raise ConfigError(f"unknown vocabulary kind {self.kind!r}")
-        if self.kind in (KMER, WORD) and self.k is None:
-            raise ConfigError(f"{self.kind} vocabulary requires k")
+        if self.kind in (KMER, WORD) and not (type(self.k) is int and 1 <= self.k <= MAX_K):
+            raise DataError(f"{self.kind} vocabulary requires an integer k in [1, {MAX_K}], got {self.k!r}")
         self.tokens = tuple(self.tokens)
         self.merges = tuple((l, r) for l, r in self.merges)
         self._token_to_id = {t: i for i, t in enumerate(self.tokens)}
@@ -294,8 +296,8 @@ def build_kmer_vocab(k: int, include_n_tokens: bool = False, kind: str = KMER) -
     tagged for the overlapping (kmer) or non-overlapping (word) tokenizer;
     the token set is identical.
     """
-    if not 1 <= k <= 12:
-        raise ConfigError(f"k must be in [1, 12], got {k}")
+    if not 1 <= k <= MAX_K:
+        raise ConfigError(f"k must be in [1, {MAX_K}], got {k}")
     if kind not in (KMER, WORD):
         raise ConfigError(f"build_kmer_vocab supports kmer/word kinds, got {kind!r}")
     toks = ["".join(p) for p in itertools.product(NUCLEOTIDES, repeat=k)]

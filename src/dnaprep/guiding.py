@@ -17,13 +17,14 @@ Four guiding tasks are generated:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Vocabulary
 from .errors import ConfigError
-from .masking import MODE_FIXED, MaskPlan, special_mask
+from .masking import MODE_FIXED, MaskPlan
 
 TASK_FTM = "ftm"
 TASK_MST = "mst"
@@ -76,14 +77,15 @@ def mst_apply(tokens, plan: MaskPlan) -> tuple[np.ndarray, GuidingTargets]:
     return updated, GuidingTargets(TASK_MST, positions, tokens[positions])
 
 
-def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> tuple[np.ndarray, int]:
+def sop_transform(tokens, reverse_prob: float, rng, first_special_id: int = sys.maxsize) -> tuple[np.ndarray, int]:
     """Swap the two halves of the non-special span with probability ``reverse_prob``.
 
-    The span is split at floor(len/2) and the halves exchanged; sentinels
-    keep their positions. Fewer than two non-special tokens is an
-    identity transform with label 0. Every call draws exactly one number
-    from ``rng``, first, and only a call that swaps scans the tokens for
-    the span. Returns a new array either way.
+    Ids from ``first_special_id`` up are special (by default none). The
+    span is split at floor(len/2) and the halves exchanged; sentinels keep
+    their positions. Fewer than two non-special tokens is an identity
+    transform with label 0. Every call draws exactly one number from
+    ``rng``, first, and only a call that swaps scans the tokens for the
+    span. Returns a new array either way.
     """
     if not 0.0 <= reverse_prob <= 1.0:
         raise ConfigError(f"reverse_prob must be in [0, 1], got {reverse_prob}")
@@ -91,7 +93,7 @@ def sop_transform(tokens, reverse_prob: float, rng, special_ids=frozenset()) -> 
     out = tokens.copy()
     if rng.random() >= reverse_prob:
         return out, 0
-    body = (~special_mask(tokens, special_ids)).nonzero()[0]
+    body = (tokens < first_special_id).nonzero()[0]
     if body.size < 2:
         return out, 0
     half = body.size // 2

@@ -19,6 +19,7 @@ window's plan does not depend on which windows were processed before it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,7 +41,7 @@ class MaskConfig:
     k: int = 1
     mode: str = MODE_FIXED
     master_seed: int = 0
-    special_ids: frozenset[int] = frozenset()
+    first_special_id: int = sys.maxsize  # specials are the tail of the id range; by default none
     mask_id: int = -1
 
     def __post_init__(self) -> None:
@@ -61,7 +62,7 @@ class MaskConfig:
         mode: str = MODE_FIXED,
         master_seed: int = 0,
     ) -> "MaskConfig":
-        """Derive k (1 for word/BPE), the special ids, and the MASK id."""
+        """Derive k (1 for word/BPE), the first special id, and the MASK id."""
         if "MASK" not in vocab.specials:
             raise ConfigError("masking requires a MASK special token")
         k = vocab.k if vocab.kind == "kmer" else 1
@@ -70,7 +71,7 @@ class MaskConfig:
             k=k,
             mode=mode,
             master_seed=master_seed,
-            special_ids=vocab.special_ids,
+            first_special_id=vocab.n_nonspecial,
             mask_id=vocab.mask_id,
         )
 
@@ -120,23 +121,6 @@ class MaskPlan:
     @property
     def special_positions(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.special_mask).tolist())
-
-
-@lru_cache(maxsize=16)
-def _special_lut(special_ids: frozenset[int]) -> np.ndarray:
-    lut = np.zeros(max(special_ids, default=-1) + 2, dtype=bool)
-    lut[list(special_ids)] = True
-    lut.flags.writeable = False
-    return lut
-
-
-def special_mask(tokens: np.ndarray, special_ids) -> np.ndarray:
-    """Boolean mask of the positions holding one of ``special_ids``.
-
-    One gather from a lookup table indexed by token id; ids above the
-    largest special id clip to the table's final, False entry.
-    """
-    return _special_lut(frozenset(special_ids)).take(tokens, mode="clip")
 
 
 def _cover(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -267,14 +251,14 @@ def select_targets(tokens, cfg: MaskConfig, seq_ordinal: int) -> np.ndarray:
     """
     tokens = np.asarray(tokens)
     draws = window_rng(cfg.master_seed, seq_ordinal).random(tokens.size)
-    picked = (draws < cfg.p) & ~special_mask(tokens, cfg.special_ids)
+    picked = (draws < cfg.p) & (tokens < cfg.first_special_id)
     return picked.nonzero()[0]
 
 
 def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
     """Expand targets to their overlap neighborhood and build the plan."""
     tokens = np.asarray(tokens)
-    special = special_mask(tokens, cfg.special_ids)
+    special = tokens >= cfg.first_special_id
     target = np.zeros(tokens.size, dtype=bool)
     target[np.asarray(m_positions, dtype=np.intp)] = True
     target &= ~special

@@ -89,7 +89,13 @@ class PipelineResult:
 
 
 def iter_windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequence]:
-    """Split sequences into fixed-size windows, ids marking the span."""
+    """Split sequences into fixed-size windows, ids marking the span; a window below 1 raises at once."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    return _windows(seqs, window)
+
+
+def _windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequence]:
     for seq in seqs:
         if len(seq.bases) <= window:
             yield seq
@@ -143,9 +149,7 @@ def build_record(
     sop_label = None
     if TASK_SOP in cfg.guiding:
         rng = window_rng(cfg.master_seed, ordinal, _SOP_STREAM)
-        ids, sop_label = sop_transform(
-            ids, cfg.sop_reverse_prob, rng, special_ids=mask_cfg.special_ids
-        )
+        ids, sop_label = sop_transform(ids, cfg.sop_reverse_prob, rng, first_special_id=mask_cfg.first_special_id)
     targets = select_targets(ids, mask_cfg, ordinal)
     plan = neighbor_mask(ids, targets, mask_cfg)
     # Every value written is a position below ids.size or a token id below

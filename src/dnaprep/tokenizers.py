@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     BPE,
     KMER,
+    MAX_K,
     N_CHAR,
     NUCLEOTIDES,
     WORD,
@@ -93,7 +94,7 @@ def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
     return [vocab.special_id("CLS")], [vocab.special_id("SEP")]
 
 
-_POWERS = 4 ** np.arange(12, dtype=np.int32)  # 4**j for every k-mer digit j (k <= 12)
+_POWERS = 4 ** np.arange(MAX_K, dtype=np.int32)  # 4**j for every k-mer digit j
 _DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
 _IDENTITY = "identity"
 _LUT_CHUNK = 1 << 16  # token strings _value_lut reads at once
@@ -525,10 +526,16 @@ def _train(
 
 
 def _merge_ranks(vocab: Vocabulary) -> dict[tuple[str, str], int]:
-    ranks: dict[tuple[str, str], int] = {}
-    for rank, pair in enumerate(vocab.merges):
-        ranks.setdefault(pair, rank)
-    return ranks
+    """Each merge rule's rank, its first index in ``vocab.merges``.
+
+    Built on first use and kept on the vocabulary.
+    """
+    if vocab._merge_rank_table is None:
+        ranks: dict[tuple[str, str], int] = {}
+        for rank, pair in enumerate(vocab.merges):
+            ranks.setdefault(pair, rank)
+        vocab._merge_rank_table = ranks
+    return vocab._merge_rank_table
 
 
 class _BpeEncoder(_BpeState):
@@ -593,8 +600,9 @@ def bpe_encode(
 
 
 def decode_ids(ids, vocab: Vocabulary) -> str:
-    """Concatenate token strings, skipping special tokens."""
-    return "".join(vocab.tokens[i] for i in np.asarray(ids) if not vocab.is_special(int(i)))
+    """Concatenate token strings, skipping special tokens (the ids from ``n_nonspecial`` up)."""
+    ids = np.asarray(ids)
+    return "".join([vocab.tokens[i] for i in ids[ids < vocab.n_nonspecial].tolist()])
 
 
 # -- parallel encoding ---------------------------------------------------------

@@ -164,6 +164,14 @@ class TestSerialization:
         with pytest.raises(DataError, match=re.escape(message)):
             Vocabulary.from_json_bytes(json.dumps(obj).encode())
 
+    @pytest.mark.parametrize("kind", ["kmer", "word"])
+    @pytest.mark.parametrize("k", [None, -1, 0, 13])
+    def test_rejects_an_unusable_k_at_load(self, kind, k):
+        obj = {**json.loads(build_kmer_vocab(2).to_json_bytes()), "kind": kind, "k": k}
+        message = f"{kind} vocabulary requires an integer k in [1, 12], got {k!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Vocabulary.from_json_bytes(json.dumps(obj).encode())
+
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(DataError):
             Vocabulary(kind="bpe", tokens=("A", "A"), specials={})

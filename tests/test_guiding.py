@@ -99,13 +99,13 @@ class TestSop:
     def test_prob_zero_identity(self):
         rng = np.random.default_rng(0)
         toks = with_sentinels(V3, [1, 2, 3, 4])
-        out, label = sop_transform(toks, 0.0, rng, special_ids=V3.special_ids)
+        out, label = sop_transform(toks, 0.0, rng, first_special_id=V3.n_nonspecial)
         assert label == 0 and np.array_equal(out, toks)
 
     def test_forced_half_swap(self):
         rng = np.random.default_rng(0)
         toks = with_sentinels(V3, [10, 11, 12, 13])
-        out, label = sop_transform(toks, 1.0, rng, special_ids=V3.special_ids)
+        out, label = sop_transform(toks, 1.0, rng, first_special_id=V3.n_nonspecial)
         assert label == 1
         assert list(out[1:-1]) == [12, 13, 10, 11]
         assert out[0] == toks[0] and out[-1] == toks[-1]
@@ -118,7 +118,7 @@ class TestSop:
     def test_short_span_identity(self):
         rng = np.random.default_rng(0)
         toks = with_sentinels(V3, [9])
-        out, label = sop_transform(toks, 1.0, rng, special_ids=V3.special_ids)
+        out, label = sop_transform(toks, 1.0, rng, first_special_id=V3.n_nonspecial)
         assert label == 0 and np.array_equal(out, toks)
 
     def test_rate(self):
@@ -132,7 +132,7 @@ class TestSop:
     def test_multiset_preserved(self, body, seed):
         rng = np.random.default_rng(seed)
         toks = with_sentinels(V3, body)
-        out, _ = sop_transform(toks, 1.0, rng, special_ids=V3.special_ids)
+        out, _ = sop_transform(toks, 1.0, rng, first_special_id=V3.n_nonspecial)
         assert sorted(out.tolist()) == sorted(toks.tolist())
         assert out.size == toks.size
 
@@ -161,7 +161,7 @@ class TestSopOracle:
     def test_matches_reference(self, body_size, prob, sentinels, seed):
         body = np.random.default_rng(seed).integers(0, V3.n_nonspecial, body_size)
         toks = (with_sentinels(V3, body) if sentinels else body).astype(np.int32)
-        got = sop_transform(toks, prob, np.random.default_rng(seed), special_ids=V3.special_ids)
+        got = sop_transform(toks, prob, np.random.default_rng(seed), first_special_id=V3.n_nonspecial)
         want = sop_reference(toks, prob, np.random.default_rng(seed), V3.special_ids)
         assert got[1] == want[1]
         assert np.array_equal(got[0], want[0]) and got[0].dtype == toks.dtype
@@ -172,7 +172,7 @@ class TestSopOracle:
     def test_draws_exactly_one_number(self, body_size, prob):
         toks = with_sentinels(V3, range(body_size))
         rng = np.random.default_rng(7)
-        sop_transform(toks, prob, rng, special_ids=V3.special_ids)
+        sop_transform(toks, prob, rng, first_special_id=V3.n_nonspecial)
         after_one = np.random.default_rng(7)
         after_one.random()
         assert rng.bit_generator.state == after_one.bit_generator.state
@@ -307,7 +307,7 @@ def test_int32_ids_stay_int32(mode):
     vocab = build_kmer_vocab(6)
     cfg = MaskConfig.for_vocab(vocab, p=0.3, mode=mode, master_seed=4)
     toks = with_sentinels(vocab, range(0, 4000, 37)).astype(np.int32)
-    swapped, label = sop_transform(toks, 1.0, np.random.default_rng(0), special_ids=vocab.special_ids)
+    swapped, label = sop_transform(toks, 1.0, np.random.default_rng(0), first_special_id=vocab.n_nonspecial)
     assert label == 1 and swapped.dtype == np.int32
     plan = neighbor_mask(swapped, select_targets(swapped, cfg, 0), cfg)
     assert plan.in_mask.any()

@@ -14,6 +14,7 @@ from dnaprep import (
     build_kmer_vocab,
     neighbor_mask,
     select_targets,
+    sop_transform,
     verify_no_leakage,
 )
 from dnaprep.masking import _RNG_CHUNK, _seed_words, window_rng
@@ -193,6 +194,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MaskConfig(master_seed=-1)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_hand_built_config_treats_every_id_as_non_special(self, dtype):
+        toks = np.array([0, 5, 2**31 - 1, 7], dtype=dtype)
+        cfg = MaskConfig(p=1.0, k=2)
+        assert select_targets(toks, cfg, 0).tolist() == [0, 1, 2, 3]
+        assert not neighbor_mask(toks, [1], cfg).special_mask.any()
+        assert sop_transform(toks, 1.0, np.random.default_rng(0))[0].tolist() == [2**31 - 1, 7, 0, 5]
+
 
 _SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96]), st.integers(0, 2**96))
 _ORDINALS = st.one_of(
@@ -286,7 +295,7 @@ class TestNeighborMaskReference:
     @settings(max_examples=150)
     def test_matches_position_loop(self, body, picks, k, mode):
         # ids 64.. are V3's specials, so some positions are special
-        cfg = MaskConfig(p=0.11, k=k, mode=mode, special_ids=V3.special_ids, mask_id=V3.mask_id)
+        cfg = MaskConfig(p=0.11, k=k, mode=mode, first_special_id=V3.n_nonspecial, mask_id=V3.mask_id)
         targets = [p for p in picks if p < len(body)]
         plan = neighbor_mask(np.array(body, dtype=np.int64), targets, cfg)
         input_ids, m, m_in, labels, special = reference_plan(body, targets, k, mode, V3.special_ids, V3.mask_id)

@@ -75,6 +75,17 @@ class TestWindows:
         assert [w.source_id for w in got] == ["s:0-10", "s:10-20", "s:20-25"]
         assert "".join(w.bases for w in got) == "A" * 25
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_is_rejected_before_any_sequence_is_read(self, window):
+        from dnaprep import ConfigError
+
+        def unread():
+            raise AssertionError("a sequence was read")
+            yield
+
+        with pytest.raises(ConfigError, match=f"window must be >= 1, got {window}"):
+            iter_windows(unread(), window)
+
 
 class TestRunPipeline:
     def test_identical_invocations_identical_digests(self, tmp_path, vocab3_path):
@@ -573,6 +584,68 @@ class TestCli:
         }
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("k, cull", [(None, False), (-1, False), (13, True)], ids=["null", "negative", "13_with_cull"])
+    def test_unusable_vocabulary_k_is_a_data_error_at_load(self, tmp_path, capsys, k, cull):
+        obj = json.loads(build_kmer_vocab(2).to_json_bytes())
+        if cull:  # [CULL] would stand in for every k-mer the file lacks
+            obj["tokens"].insert(16, "[CULL]")
+            obj["specials"] = {name: sid + 1 for name, sid in obj["specials"].items()}
+        vocab_path = tmp_path / "v.json"
+        vocab_path.write_text(json.dumps({**obj, "k": k}))
+        fasta = write_fasta(tmp_path, ">a\n" + "ACGT" * 10 + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["tokenize", "--vocab", str(vocab_path), "--fasta", fasta, "--out", str(out_dir / "o.jsonl")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError",
+            "message": f"kmer vocabulary requires an integer k in [1, 12], got {k!r}",
+        }
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["leakage", "--k", "0", "--m", "3"], "--k must be >= 1, got 0"),
+            (["leakage", "--k", "3", "--m", "0"], "--m must be >= 1, got 0"),
+            (["leakage", "--k", "0", "--batch", "{absent}"], "--k must be >= 1, got 0"),
+            (
+                ["cull", "--vocab", "{absent}", "--remove", "abc", "--out", "{out}"],
+                "--remove must be comma-separated token ids, got 'abc'",
+            ),
+            (
+                ["tokenize", "--vocab", "{absent}", "--fasta", "{absent}", "--out", "{out}", "--window", "-5"],
+                "window must be >= 1, got -5",
+            ),
+        ],
+        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window"],
+    )
+    def test_bad_flag_value_is_a_usage_error_before_any_input(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # every input is missing: a run that got as far as reading one would exit 2
+        paths = {"absent": str(tmp_path / "absent"), "out": str(out_dir / "o")}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_bad_line_in_a_cull_id_file_stays_a_data_error(self, tmp_path, vocab3_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("1\nabc\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["cull", "--vocab", vocab3_path, "--remove", f"@{ids}", "--out", str(out_dir / "c.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert list(out_dir.iterdir()) == []
+
+    def test_tokenize_window_zero_never_splits(self, tmp_path, vocab3_path):
+        fasta = write_fasta(tmp_path, ">a\n" + "ACGT" * 300 + "\n")
+        out = tmp_path / "tok.jsonl"
+        assert main(["tokenize", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out), "--window", "0"]) == 0
+        (record,) = read_jsonl(out)
+        assert record["seq_id"] == "a" and len(record["ids"]) == 1200 - 2
+
 
 def test_negative_master_seed_is_rejected_when_the_config_is_built():
     from dnaprep import ConfigError
@@ -586,6 +659,6 @@ def test_build_record_rejects_a_mask_id_outside_the_vocabulary():
 
     vocab = build_kmer_vocab(3)
     cfg = PipelineConfig(vocab_path="", fasta_path="", out_path="")
-    mask_cfg = MaskConfig(k=3, special_ids=vocab.special_ids)  # mask_id left at -1
+    mask_cfg = MaskConfig(k=3, first_special_id=vocab.n_nonspecial)  # mask_id left at -1
     with pytest.raises(ConfigError):
         build_record(DnaSequence("ACGTACGT", "s"), 0, TokenizerSpec(vocab, add_sentinels=True), mask_cfg, cfg)

@@ -59,7 +59,7 @@ def expected_line(seq, ordinal, spec, mask_cfg, cfg):
     sop_label = None
     if "sop" in cfg.guiding:
         rng = np.random.default_rng((cfg.master_seed, ordinal, _SOP_STREAM))
-        ids, sop_label = sop_transform(ids, cfg.sop_reverse_prob, rng, special_ids=mask_cfg.special_ids)
+        ids, sop_label = sop_transform(ids, cfg.sop_reverse_prob, rng, first_special_id=mask_cfg.first_special_id)
     plan = neighbor_mask(ids, select_targets(ids, mask_cfg, ordinal), mask_cfg)
     input_ids = plan.input_ids
     guiding = []
@@ -94,6 +94,25 @@ def both_lines(vocab, bases, *, tasks=TASKS, mode="fixed", n_mode="as_unk", sent
     mask_cfg = MaskConfig.for_vocab(vocab, p=p, mode=mode, master_seed=seed)
     seq = DnaSequence(bases, source_id=f"s{ordinal}")
     return build_record(seq, ordinal, spec, mask_cfg, cfg), expected_line(seq, ordinal, spec, mask_cfg, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(VOCABS))
+def test_first_special_id_marks_exactly_the_special_ids(name):
+    """Over every id of the vocabulary, the one threshold equals set membership."""
+    vocab = VOCABS[name]
+    cfg = MaskConfig.for_vocab(vocab, p=1.0)
+    ids = np.arange(len(vocab), dtype=np.int32)
+    special = np.isin(ids, list(vocab.special_ids))
+    assert cfg.first_special_id == vocab.n_nonspecial
+    assert np.array_equal(ids >= cfg.first_special_id, special)
+    assert np.array_equal(neighbor_mask(ids, [], cfg).special_mask, special)
+    assert np.array_equal(select_targets(ids, cfg, 0), np.flatnonzero(~special))
+    body = np.flatnonzero(~special)
+    half = body.size // 2
+    swapped, label = sop_transform(ids, 1.0, np.random.default_rng(0), first_special_id=cfg.first_special_id)
+    assert label == 1
+    assert np.array_equal(swapped[special], ids[special])
+    assert np.array_equal(swapped[body], np.concatenate((body[half:], body[:half])))
 
 
 @st.composite

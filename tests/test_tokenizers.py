@@ -375,6 +375,23 @@ class TestBpeEncode:
         ids = bpe_encode(DnaSequence(bases), vocab)
         assert decode_ids(ids, vocab) == bases
 
+    def test_merge_ranks_are_built_once_per_vocabulary(self, monkeypatch):
+        vocab = bpe_vocab_from_merges([("A", "T"), ("C", "G"), ("AT", "CG")])
+        seen = []
+
+        class Recording(tokenizers._BpeEncoder):
+            def __init__(self, runs, ranks):
+                seen.append(ranks)
+                super().__init__(runs, ranks)
+
+        monkeypatch.setattr(tokenizers, "_BpeEncoder", Recording)
+        assert vocab._merge_rank_table is None
+        for _ in range(2):
+            assert toks(vocab, bpe_encode(DnaSequence("ATCGNATCG"), vocab)) == ["ATCG", "[UNK]", "ATCG"]
+        assert len(seen) == 4  # two runs per encode
+        assert all(ranks is vocab._merge_rank_table for ranks in seen)
+        assert vocab._merge_rank_table == {("A", "T"): 0, ("C", "G"): 1, ("AT", "CG"): 2}
+
 
 class TestParallel:
     @given(st.text(alphabet="ACGTN", max_size=300), st.integers(2, 5), st.integers(1, 40))
