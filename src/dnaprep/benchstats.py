@@ -103,16 +103,22 @@ def load_scaling_csv(path) -> list[ScalingRecord]:
     return _load_csv(path, "scaling", _SCALING_COLUMNS, ScalingRecord)
 
 
+_DDOF = {"sample": 1, "population": 0}  # each std estimator's delta degrees of freedom
+
+
+def _ddof(estimator: str) -> int:
+    try:
+        return _DDOF[estimator]
+    except KeyError:
+        raise DataError(f"unknown std estimator {estimator!r}") from None
+
+
 def dataset_sigma(values, estimator: str = "sample") -> float:
     """Standard deviation of one dataset's metric across seeds."""
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size < 2:
         raise DataError(f"need >= 2 seeds to estimate a standard deviation, got {arr.size}")
-    if estimator == "sample":
-        return float(arr.std(ddof=1))
-    if estimator == "population":
-        return float(arr.std(ddof=0))
-    raise DataError(f"unknown std estimator {estimator!r}")
+    return float(arr.std(ddof=_ddof(estimator)))
 
 
 def ols_fit(points) -> tuple[float, float, float]:
@@ -262,13 +268,14 @@ def stability_filter(
     three datasets with positive sigma; with an override and fewer, no
     fit is made and its fields are None.
     """
+    ddof = _ddof(estimator)
     positive = {d: s for d, s in sigmas.items() if s > 0}
     logs = {d: math.log(s) for d, s in positive.items()}
     mu = sigma = threshold_sigma = sw_w = sw_p = None
     if len(positive) >= 3:
         values = np.array(list(logs.values()))
         mu = float(values.mean())
-        sigma = float(values.std(ddof=1 if estimator == "sample" else 0))
+        sigma = float(values.std(ddof=ddof))
         threshold_sigma = math.exp(mu + sigma)
         try:
             sw_w, sw_p = shapiro_wilk(values)

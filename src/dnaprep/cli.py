@@ -200,8 +200,11 @@ def _cmd_leakage(args) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.batch:
         with open(args.batch, "rb") as fh:
-            for line in fh:
-                record = json.loads(line)
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    record = json.loads(line)
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise DataError(f"{args.batch}: line {line_no}: not a JSON record: {exc}") from None
                 leakage = run_leakage(_record_targets(record), args.k)  # checks the record first
                 out = {"seq_id": record.get("seq_id"), "leakage_percent": leakage}
                 print(json.dumps(out, separators=(",", ":")))
@@ -253,8 +256,15 @@ def _cmd_vocab_stats(args) -> int:
 
 def _cmd_cull(args) -> int:
     if args.remove.startswith("@"):
-        with open(args.remove[1:]) as fh:
-            ids = [int(line) for line in fh if line.strip()]  # a bad line is a data error
+        path = args.remove[1:]
+        ids = []
+        with open(path) as fh:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        ids.append(int(line))
+                    except ValueError:
+                        raise DataError(f"{path}: line {line_no}: not a token id: {line.strip()!r}") from None
     else:
         try:
             ids = [int(part) for part in args.remove.split(",") if part.strip()]

@@ -3,7 +3,8 @@
 Everything downstream (tokenizers, masking, statistics) is built on the two
 types defined here: :class:`DnaSequence`, a validated uppercase nucleotide
 string, and :class:`Vocabulary`, an ordered token set with special-token
-bookkeeping and a reverse-complement label map.
+bookkeeping and the tables built from it: k-mer values, reverse-complement
+labels and BPE merge ranks.
 
 Conventions fixed here for determinism:
 
@@ -21,6 +22,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -48,6 +50,8 @@ VOCAB_FORMAT_VERSION = 1
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 _VALID_BYTES = b"ACGTNacgtn"
 _BAD_BYTE_RE = re.compile(b"[^ACGTN]")
+_DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
+_LUT_CHUNK = 1 << 16  # token strings kmer_value_table reads at once
 
 
 def _validate_bases(text: str) -> str:
@@ -117,9 +121,6 @@ class Vocabulary:
     merges: tuple[tuple[str, str], ...] = ()
 
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
-    _kmer_value_lut: object = field(init=False, repr=False, compare=False, default=None)
-    _rc_label_lut: object = field(init=False, repr=False, compare=False, default=None)
-    _merge_rank_table: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in VOCAB_KINDS:
@@ -194,33 +195,68 @@ class Vocabulary:
         """
         if self.is_special(token_id):
             raise ValueError(f"special token id {token_id} has no reverse complement")
-        label = int(self.rc_labels()[token_id])
+        label = int(self.rc_labels[token_id])
         if label < 0:
             raise ValueError(f"reverse complement {rc_string(self.tokens[token_id])!r} missing from vocabulary")
         return label
-
-    def rc_labels(self) -> np.ndarray:
-        """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements).
-
-        Read-only; built on first use and kept on the vocabulary.
-        """
-        if self._rc_label_lut is None:
-            n = self.n_nonspecial
-            lut = np.full(len(self.tokens), -1, dtype=np.int64)
-            if self.kind == BPE:
-                lut[:n] = np.arange(n)
-            else:
-                to_id = self._token_to_id.get
-                fill = -1 if self.cull_id is None else self.cull_id
-                lut[:n] = [to_id(rc_string(token), fill) for token in self.tokens[:n]]
-            lut.flags.writeable = False
-            self._rc_label_lut = lut
-        return self._rc_label_lut
 
     def n_run_tokens(self) -> tuple[str, ...]:
         """N-run tokens present in the vocabulary, longest first."""
         runs = [t for t in self.tokens if set(t) == {N_CHAR}]
         return tuple(sorted(runs, key=len, reverse=True))
+
+    # -- tables built from the vocabulary on first use, then kept ----------
+
+    @functools.cached_property
+    def rc_labels(self) -> np.ndarray:
+        """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements). Read-only."""
+        n = self.n_nonspecial
+        lut = np.full(len(self.tokens), -1, dtype=np.int64)
+        if self.kind == BPE:
+            lut[:n] = np.arange(n)
+        else:
+            to_id = self._token_to_id.get
+            fill = -1 if self.cull_id is None else self.cull_id
+            lut[:n] = [to_id(rc_string(token), fill) for token in self.tokens[:n]]
+        lut.flags.writeable = False
+        return lut
+
+    @functools.cached_property
+    def kmer_value_table(self) -> np.ndarray | None:
+        """Map the base-4 value of a k-mer to its id.
+
+        None when the k-mers hold ids 0 .. 4**k - 1 in value order (the
+        mapping is the identity, so callers can skip the gather); for a
+        culled vocabulary, values whose token was removed map to the [CULL]
+        id. The tokens are read ``_LUT_CHUNK`` at a time, so that beside
+        the table itself only one chunk's arrays are held.
+        """
+        k = self.k
+        lut = np.full(4**k, -1, dtype=np.int32)
+        identity, n_kmers = True, 0
+        for first in range(0, len(self.tokens), _LUT_CHUNK):
+            ids, values = _pure_kmers(self.tokens[first : first + _LUT_CHUNK], k)
+            ids += first
+            lut[values] = ids
+            # token strings are distinct, so 4**k k-mers each at its own value is the identity
+            identity = identity and np.array_equal(ids, values)
+            n_kmers += ids.size
+        if identity and n_kmers == lut.size:
+            return None
+        missing = lut < 0
+        if missing.any():
+            if self.cull_id is None:
+                raise DataError("vocabulary is missing k-mers and has no [CULL] token")
+            lut[missing] = self.cull_id
+        return lut
+
+    @functools.cached_property
+    def merge_ranks(self) -> dict[tuple[str, str], int]:
+        """Each merge rule's rank, its first index in ``merges``."""
+        ranks: dict[tuple[str, str], int] = {}
+        for rank, pair in enumerate(self.merges):
+            ranks.setdefault(pair, rank)
+        return ranks
 
     # -- serialization -----------------------------------------------------
 
@@ -262,6 +298,27 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, "rb") as fh:
             return cls.from_json_bytes(fh.read())
+
+
+def _pure_kmers(tokens: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``tokens`` of the length-k tokens made of A, C, G and T, and their base-4 values.
+
+    The tokens are joined into one byte string and the digits gathered
+    from it column by column.
+    """
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    positions = (lengths == k).nonzero()[0]
+    starts = np.cumsum(lengths)[positions] - k
+    # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
+    digits = np.frombuffer("".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE), dtype=np.uint8)
+    values = np.zeros(positions.size, dtype=np.int32)
+    pure = np.ones(positions.size, dtype=bool)
+    for j in range(k):
+        digit = digits[starts + j]
+        pure &= digit < 4
+        values <<= 2
+        values += digit
+    return positions[pure], values[pure]
 
 
 def _list_of(value, kind: type) -> bool:

@@ -105,7 +105,7 @@ def csp_targets(plan: MaskPlan, vocab: Vocabulary) -> GuidingTargets:
     """Label every strictly unmasked non-special position with its RC token."""
     positions = (~(plan.in_mask | plan.special_mask)).nonzero()[0]
     originals = plan.original_ids[positions]
-    labels = vocab.rc_labels()[originals]
+    labels = vocab.rc_labels[originals]
     missing = labels < 0
     if missing.any():
         vocab.rc_label(int(originals[missing][0]))  # raises: no complement and no [CULL]

@@ -95,65 +95,6 @@ def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
 
 
 _POWERS = 4 ** np.arange(MAX_K, dtype=np.int32)  # 4**j for every k-mer digit j
-_DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
-_IDENTITY = "identity"
-_LUT_CHUNK = 1 << 16  # token strings _value_lut reads at once
-
-
-def _pure_kmers(tokens: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``tokens`` of the length-k tokens made of A, C, G and T, and their base-4 values.
-
-    The tokens are joined into one byte string and the digits gathered
-    from it column by column.
-    """
-    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-    positions = (lengths == k).nonzero()[0]
-    starts = np.cumsum(lengths)[positions] - k
-    # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
-    digits = np.frombuffer("".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE), dtype=np.uint8)
-    values = np.zeros(positions.size, dtype=np.int32)
-    pure = np.ones(positions.size, dtype=bool)
-    for j in range(k):
-        digit = digits[starts + j]
-        pure &= digit < 4
-        values <<= 2
-        values += digit
-    return positions[pure], values[pure]
-
-
-def _value_lut(vocab: Vocabulary):
-    """Map the base-4 value of a k-mer to its id in ``vocab``.
-
-    Returns None when the k-mers hold ids 0 .. 4**k - 1 in value order
-    (the mapping is the identity, so callers can skip the gather); for a
-    culled vocabulary, values whose token was removed map to the [CULL] id.
-    The tokens are read ``_LUT_CHUNK`` at a time, so that beside the
-    table itself only one chunk's arrays are held.
-    """
-    if vocab._kmer_value_lut is not None:
-        cached = vocab._kmer_value_lut
-        return None if cached is _IDENTITY else cached
-    k = vocab.k
-    lut = np.full(4**k, -1, dtype=np.int32)
-    identity, n_kmers = True, 0
-    for first in range(0, len(vocab.tokens), _LUT_CHUNK):
-        ids, values = _pure_kmers(vocab.tokens[first : first + _LUT_CHUNK], k)
-        ids += first
-        lut[values] = ids
-        # token strings are distinct, so 4**k k-mers each at its own value is the identity
-        identity = identity and np.array_equal(ids, values)
-        n_kmers += ids.size
-    if identity and n_kmers == lut.size:
-        vocab._kmer_value_lut = _IDENTITY
-        return None
-    missing = lut < 0
-    if missing.any():
-        if vocab.cull_id is None:
-            raise DataError("vocabulary is missing k-mers and has no [CULL] token")
-        lut[missing] = vocab.cull_id
-    vocab._kmer_value_lut = lut
-    return lut
-
 
 # Inputs up to this many bases get their stride-1 values from one
 # np.convolve; longer ones from a shift-add pass per digit. Timed on a
@@ -161,7 +102,7 @@ def _value_lut(vocab: Vocabulary):
 # 512 bases 8.3 vs 22.3 us, 1024 14.0 vs 21.9, 2048 30.6 vs 28.7, 4096
 # 43.6 vs 25.2 (k = 3 and k = 12 cross over near 1024 as well).
 _CONVOLVE_MAX = 1024
-_VALUE_BLOCK = 1 << 16  # windows whose values _value_blocks builds at once
+_VALUE_BLOCK = 1 << 16  # windows whose values _ids_from_codes builds at once
 
 
 def _kmer_values(codes: np.ndarray, k: int, out: np.ndarray) -> None:
@@ -190,53 +131,38 @@ def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | Non
     return has_n
 
 
-def _value_blocks(
-    codes: np.ndarray, k: int, stride: int, out: np.ndarray, any_n: bool = True
-) -> Iterator[tuple[int, int, np.ndarray | None]]:
-    """Fill ``out`` with the base-4 value of each width-k window, a block at a time.
-
-    Yields ``(start, stop, has_n)`` once ``out[start:stop]`` holds a
-    block's values; ``has_n`` flags its windows that hold an N, and is
-    None when none does or ``any_n`` says the input holds no N. N
-    positions contribute an arbitrary digit to the value; every flagged
-    window is overridden or dropped by the caller before use. Blocks keep
-    the temporary arrays small, so only ``out`` spans the whole input.
-    """
-    for start in range(0, out.size, _VALUE_BLOCK):
-        stop = min(start + _VALUE_BLOCK, out.size)
-        vals = out[start:stop]
-        if stride == 1:
-            part = codes[start : stop + k - 1]
-            _kmer_values(part, k, vals)
-        else:
-            part = codes[start * k : stop * k]
-            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _POWERS[k - 1 :: -1], out=vals)
-        yield start, stop, _n_flags(part, k, stride, vals.size) if any_n else None
-
-
 def _ids_from_codes(
     codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, sentinels: bool
 ) -> np.ndarray:
     """The spec's ids for ``codes`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
 
     Ids are written straight into the returned array, between the slots
-    kept for [CLS] and [SEP]. Drop mode compacts each block's kept windows
-    in place, then shrinks the array to the kept ids.
+    kept for [CLS] and [SEP], a block of ``_VALUE_BLOCK`` windows at a time
+    so that only the output spans the whole input. Drop mode compacts each
+    block's kept windows in place, then shrinks the array to the kept ids.
     ``any_n`` False promises that ``codes`` hold no N, which skips the
     N flags (and makes the N mode irrelevant).
     """
     vocab = spec.vocab
-    lut = _value_lut(vocab)
+    k, lut = vocab.k, vocab.kmer_value_table
     head, tail = _sentinels(vocab, sentinels)
     pad = len(head)
-    m = max(0, codes.size - vocab.k + 1) if stride == 1 else codes.size // vocab.k
+    m = max(0, codes.size - k + 1) if stride == 1 else codes.size // k
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
     kept = 0
-    for start, stop, has_n in _value_blocks(codes, vocab.k, stride, core, any_n):
+    for start in range(0, m, _VALUE_BLOCK):
+        stop = min(start + _VALUE_BLOCK, m)
         vals = core[start:stop]
+        if stride == 1:
+            part = codes[start : stop + k - 1]
+            _kmer_values(part, k, vals)
+        else:
+            part = codes[start * k : stop * k]
+            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _POWERS[k - 1 :: -1], out=vals)
         if lut is not None:
             vals[...] = lut[vals]
+        has_n = _n_flags(part, k, stride, vals.size) if any_n else None
         if spec.n_mode == N_MODE_DROP:
             if has_n is not None:
                 vals = vals[~has_n]
@@ -525,19 +451,6 @@ def _train(
 # -- BPE encoding -------------------------------------------------------------
 
 
-def _merge_ranks(vocab: Vocabulary) -> dict[tuple[str, str], int]:
-    """Each merge rule's rank, its first index in ``vocab.merges``.
-
-    Built on first use and kept on the vocabulary.
-    """
-    if vocab._merge_rank_table is None:
-        ranks: dict[tuple[str, str], int] = {}
-        for rank, pair in enumerate(vocab.merges):
-            ranks.setdefault(pair, rank)
-        vocab._merge_rank_table = ranks
-    return vocab._merge_rank_table
-
-
 class _BpeEncoder(_BpeState):
     """The same index and merge loop, applying a vocabulary's merges.
 
@@ -577,7 +490,7 @@ class _BpeEncoder(_BpeState):
 
 
 def _bpe_ids(bases: str, spec: TokenizerSpec) -> np.ndarray:
-    ranks = _merge_ranks(spec.vocab)
+    ranks = spec.vocab.merge_ranks
     return _split_at_n(bases, spec, lambda run: _BpeEncoder([run], ranks).ids(spec.vocab))
 
 
@@ -600,8 +513,14 @@ def bpe_encode(
 
 
 def decode_ids(ids, vocab: Vocabulary) -> str:
-    """Concatenate token strings, skipping special tokens (the ids from ``n_nonspecial`` up)."""
+    """Concatenate token strings, skipping special tokens (the ids from ``n_nonspecial`` up).
+
+    An id outside the vocabulary is a DataError naming it.
+    """
     ids = np.asarray(ids)
+    outside = (ids < 0) | (ids >= len(vocab))
+    if outside.any():
+        raise DataError(f"id {int(ids[outside][0])} is not in the vocabulary of {len(vocab)} ids")
     return "".join([vocab.tokens[i] for i in ids[ids < vocab.n_nonspecial].tolist()])
 
 

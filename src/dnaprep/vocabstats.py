@@ -270,12 +270,12 @@ def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int,
     """
     if CULL_TOKEN in vocab:
         raise DataError("vocabulary already contains a [CULL] token")
-    specials_hit = [i for i in spec.remove_ids if vocab.is_special(i)]
-    if specials_hit:
-        raise ValueError(f"cannot cull special token ids: {sorted(specials_hit)}")
     out_of_range = [i for i in spec.remove_ids if not 0 <= i < len(vocab)]
     if out_of_range:
         raise ValueError(f"cull ids out of range: {sorted(out_of_range)}")
+    specials_hit = [i for i in spec.remove_ids if vocab.is_special(i)]
+    if specials_hit:
+        raise ValueError(f"cannot cull special token ids: {sorted(specials_hit)}")
     limit = CULL_FRACTION_MAX * vocab.n_nonspecial
     if len(spec.remove_ids) > limit:
         raise ConstraintError(
@@ -305,11 +305,14 @@ def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int,
 
 
 def remap_ids(ids, remap: dict[int, int]) -> np.ndarray:
-    """Apply a cull remap to an id array."""
+    """Apply a cull remap to an id array; an id the remap does not cover is a DataError naming it."""
     ids = np.asarray(ids, dtype=np.int64)
     table = np.full(max(remap) + 1, -1, dtype=np.int64)
     for old, new in remap.items():
         table[old] = new
+    outside = (ids < 0) | (ids >= table.size)
+    if outside.any():
+        raise DataError(f"id {int(ids[outside][0])} is not in the vocabulary of {table.size} ids")
     out = table[ids]
     if (out < 0).any():
         bad = ids[out < 0][0]

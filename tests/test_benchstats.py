@@ -82,6 +82,19 @@ class TestDatasetSigma:
         with pytest.raises(DataError):
             dataset_sigma([5.0])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda estimator: dataset_sigma([1, 2, 3], estimator=estimator),
+            lambda estimator: stability_filter({"a": 0.5, "b": 1.0, "c": 2.0}, estimator=estimator),
+            lambda estimator: stability_filter({"a": 0.5}, threshold_override=1.0, estimator=estimator),
+        ],
+        ids=["dataset_sigma", "stability_filter", "stability_filter_without_a_fit"],
+    )
+    def test_unknown_estimator_rejected(self, call):
+        with pytest.raises(DataError, match="unknown std estimator 'bogus'"):
+            call("bogus")
+
 
 class TestOls:
     def test_perfect_line(self):

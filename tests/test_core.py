@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from dnaprep import (
     DataError,
     ConfigError,
+    CullSpec,
     DnaSequence,
     build_kmer_vocab,
+    cull_vocab,
     reverse_complement,
 )
 from dnaprep.core import CULL_TOKEN, SPECIAL_TOKENS, Vocabulary, bpe_vocab_from_merges
@@ -114,6 +117,29 @@ class TestRcLabel:
         for i in range(vocab.n_nonspecial):
             tok = vocab.tokens[i]
             assert (vocab.rc_label(i) == i) == (rc_string(tok) == tok)
+
+
+@pytest.mark.parametrize(
+    "table, vocab",
+    [
+        ("kmer_value_table", build_kmer_vocab(3)),
+        ("kmer_value_table", cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]),
+        ("rc_labels", build_kmer_vocab(3)),
+        ("merge_ranks", bpe_vocab_from_merges([("A", "T"), ("C", "G"), ("A", "T")])),
+    ],
+    ids=["identity_value_table", "culled_value_table", "rc_labels", "merge_ranks"],
+)
+def test_tables_are_built_once_and_leave_equality_alone(table, vocab):
+    """A table is built on its first read and kept; it takes no part in equality."""
+    fresh = Vocabulary(vocab.kind, vocab.tokens, vocab.specials, vocab.k, vocab.merges)
+    twin = Vocabulary(vocab.kind, vocab.tokens, vocab.specials, vocab.k, vocab.merges)
+    prop = vars(Vocabulary)[table]
+    with mock.patch.object(prop, "func", wraps=prop.func) as build:
+        first = getattr(fresh, table)
+        assert getattr(fresh, table) is first
+    assert build.call_count == 1
+    assert table in vars(fresh) and table not in vars(twin)
+    assert fresh == twin and twin == fresh
 
 
 class TestSerialization:

@@ -230,7 +230,7 @@ class TestRcLabelLut:
         ids=["kmer", "word", "culled", "bpe"],
     )
     def test_table_equals_rc_label(self, vocab):
-        lut = vocab.rc_labels()
+        lut = vocab.rc_labels
         assert [int(lut[i]) for i in range(vocab.n_nonspecial)] == [
             vocab.rc_label(i) for i in range(vocab.n_nonspecial)
         ]
@@ -272,10 +272,10 @@ class TestRcLabelLut:
                 return vocab.id_of(rc)
             return -1 if vocab.cull_id is None else vocab.cull_id
 
-        lut = vocab.rc_labels()
+        lut = vocab.rc_labels
         assert lut.tolist() == [reference(i) for i in range(len(vocab))]
         assert not lut.flags.writeable
-        assert vocab.rc_labels() is lut
+        assert vocab.rc_labels is lut
         for token_id, label in enumerate(lut.tolist()):
             if label < 0:
                 with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ class TestRcLabelLut:
 
     def test_culled_complements_fall_back_to_cull(self):
         vocab = cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]
-        lut = vocab.rc_labels()
+        lut = vocab.rc_labels
         for kept in ("GTT", "CTT", "CGT"):  # complements AAC, AAG, ACG were culled
             assert lut[vocab.id_of(kept)] == vocab.cull_id
 

@@ -284,6 +284,16 @@ class TestCli:
         assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
         assert "not a record" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_leakage_batch_names_the_line_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"seq_id": "a", "input_ids": [1], "m": [], "m_in": [], "labels": {}}\n\n')
+        assert main(["leakage", "--k", "3", "--batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == '{"seq_id":"a","leakage_percent":0.0}\n'
+        err = json.loads(captured.err)
+        assert err["error"] == "DataError"
+        assert err["message"].startswith(f"{path}: line 2: not a JSON record: Expecting value")
+
     def test_leakage_closed_form(self, capsys):
         assert main(["leakage", "--k", "6", "--m", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -636,7 +646,8 @@ class TestCli:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["cull", "--vocab", vocab3_path, "--remove", f"@{ids}", "--out", str(out_dir / "c.json")]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError", "message": f"{ids}: line 2: not a token id: 'abc'"}
         assert list(out_dir.iterdir()) == []
 
     def test_tokenize_window_zero_never_splits(self, tmp_path, vocab3_path):

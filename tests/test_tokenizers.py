@@ -28,7 +28,7 @@ from dnaprep import (
     tokenize,
     word_tokenize,
 )
-from dnaprep import tokenizers
+from dnaprep import core, tokenizers
 from dnaprep.core import BPE, Vocabulary, _with_specials, bpe_vocab_from_merges
 from dnaprep.tokenizers import N_MODES
 
@@ -385,12 +385,19 @@ class TestBpeEncode:
                 super().__init__(runs, ranks)
 
         monkeypatch.setattr(tokenizers, "_BpeEncoder", Recording)
-        assert vocab._merge_rank_table is None
+        assert "merge_ranks" not in vars(vocab)
         for _ in range(2):
             assert toks(vocab, bpe_encode(DnaSequence("ATCGNATCG"), vocab)) == ["ATCG", "[UNK]", "ATCG"]
         assert len(seen) == 4  # two runs per encode
-        assert all(ranks is vocab._merge_rank_table for ranks in seen)
-        assert vocab._merge_rank_table == {("A", "T"): 0, ("C", "G"): 1, ("AT", "CG"): 2}
+        assert all(ranks is vocab.merge_ranks for ranks in seen)
+        assert vocab.merge_ranks == {("A", "T"): 0, ("C", "G"): 1, ("AT", "CG"): 2}
+
+
+@pytest.mark.parametrize("bad", [-1, 69, 999])
+def test_decode_rejects_ids_outside_the_vocabulary(bad):
+    vocab = build_kmer_vocab(3)  # 64 k-mers and 5 specials: ids 0 .. 68
+    with pytest.raises(DataError, match=f"id {bad} is not in the vocabulary of 69 ids"):
+        decode_ids([bad, 0], vocab)
 
 
 class TestParallel:
@@ -541,7 +548,7 @@ def identity_vocab(kind, k):
         return oracle_vocab(kind, k)
     tokens, specials = _with_specials([base * k for base in "ACGT"])
     vocab = Vocabulary(kind=kind, tokens=tokens, specials=specials, k=k)
-    vocab._kmer_value_lut = tokenizers._IDENTITY
+    vocab.kmer_value_table = None
     return vocab
 
 
@@ -612,7 +619,7 @@ def _vocab_from(tokens, k):
     return Vocabulary(kind="kmer", tokens=tokens, specials=specials, k=k)
 
 
-_LUT_CHUNKS = pytest.mark.parametrize("chunk", [1, 7, 64, tokenizers._LUT_CHUNK])
+_LUT_CHUNKS = pytest.mark.parametrize("chunk", [1, 7, 64, core._LUT_CHUNK])
 
 
 def _uncached(vocab):
@@ -624,10 +631,10 @@ class TestValueLut:
     @_LUT_CHUNKS
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_complete_vocabularies_are_the_identity(self, k, chunk):
-        with mock.patch.object(tokenizers, "_LUT_CHUNK", chunk):
-            assert tokenizers._value_lut(_uncached(build_kmer_vocab(k))) is None
+        with mock.patch.object(core, "_LUT_CHUNK", chunk):
+            assert _uncached(build_kmer_vocab(k)).kmer_value_table is None
             word = build_kmer_vocab(k, include_n_tokens=True, kind="word")
-            assert tokenizers._value_lut(_uncached(word)) is None
+            assert _uncached(word).kmer_value_table is None
 
     @pytest.mark.parametrize(
         "vocab",
@@ -646,12 +653,12 @@ class TestValueLut:
     @_LUT_CHUNKS
     def test_table_matches_per_kmer_lookup(self, vocab, chunk):
         vocab = _uncached(vocab)
-        with mock.patch.object(tokenizers, "_LUT_CHUNK", chunk):
-            lut = tokenizers._value_lut(vocab)
+        with mock.patch.object(core, "_LUT_CHUNK", chunk):
+            lut = vocab.kmer_value_table
         assert lut is not None and lut.dtype == np.int32
         assert lut.tolist() == reference_value_lut(vocab)
 
     def test_missing_kmer_without_cull_raises(self):
         vocab = _vocab_from(build_kmer_vocab(2).tokens[1:16], 2)
         with pytest.raises(DataError, match="no \\[CULL\\] token"):
-            tokenizers._value_lut(vocab)
+            vocab.kmer_value_table

@@ -394,6 +394,11 @@ class TestCull:
         with pytest.raises(ValueError):
             cull_vocab(V3, CullSpec(frozenset({V3.special_id("CLS")})))
 
+    @pytest.mark.parametrize("bad", [999, len(V3), -3])
+    def test_ids_outside_the_vocabulary_are_out_of_range_not_special(self, bad):
+        with pytest.raises(ValueError, match=f"cull ids out of range: \\[{bad}\\]"):
+            cull_vocab(V3, CullSpec(frozenset({bad})))
+
     def test_double_cull_rejected(self):
         culled, _ = cull_vocab(V3, CullSpec(frozenset({1})))
         with pytest.raises(DataError):
@@ -419,6 +424,12 @@ class TestCull:
                 assert culled.tokens[new] == V3.tokens[old]
         # remap of the original ids gives the same stream
         assert np.array_equal(remap_ids(original, remap), under_culled)
+
+    @pytest.mark.parametrize("bad", [-1, len(V3), 10**6])
+    def test_remap_rejects_ids_outside_the_vocabulary(self, bad):
+        _, remap = cull_vocab(V3, CullSpec(frozenset({0})))
+        with pytest.raises(DataError, match=f"id {bad} is not in the vocabulary of {len(V3)} ids"):
+            remap_ids([0, bad], remap)
 
     def test_rc_label_falls_back_to_cull(self):
         # remove GAT; rc of ATC then resolves to [CULL]
