@@ -10,6 +10,7 @@ a value that is not an integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,7 +39,6 @@ from .vocabstats import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_CONSTRAINT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +211,7 @@ def _cmd_leakage(args) -> int:
         return EXIT_OK
     if args.m is None:
         raise ConfigError("either --m or --batch is required")
-    print(json.dumps(leakage_report(args.k, args.m).to_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(leakage_report(args.k, args.m)), indent=2))
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ Everything downstream (tokenizers, masking, statistics) is built on the two
 types defined here: :class:`DnaSequence`, a validated uppercase nucleotide
 string, and :class:`Vocabulary`, an ordered token set with special-token
 bookkeeping and the tables built from it: k-mer values, reverse-complement
-labels and BPE merge ranks.
+labels, the N-run cover and BPE merge ranks. :data:`BASE_CODES` is the one
+base-code table: the tokenizers and the k-mer value table read it.
 
 Conventions fixed here for determinism:
 
@@ -50,7 +51,7 @@ VOCAB_FORMAT_VERSION = 1
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 _VALID_BYTES = b"ACGTNacgtn"
 _BAD_BYTE_RE = re.compile(b"[^ACGTN]")
-_DIGIT_TABLE = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, others 4
+BASE_CODES = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, every other byte 4
 _LUT_CHUNK = 1 << 16  # token strings kmer_value_table reads at once
 
 
@@ -154,10 +155,6 @@ class Vocabulary:
     def special_id(self, name: str) -> int:
         return self.specials[name]
 
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.specials.values())
-
     def is_special(self, token_id: int) -> bool:
         return token_id >= self.n_nonspecial
 
@@ -200,18 +197,19 @@ class Vocabulary:
             raise ValueError(f"reverse complement {rc_string(self.tokens[token_id])!r} missing from vocabulary")
         return label
 
-    def n_run_tokens(self) -> tuple[str, ...]:
-        """N-run tokens present in the vocabulary, longest first."""
-        runs = [t for t in self.tokens if set(t) == {N_CHAR}]
-        return tuple(sorted(runs, key=len, reverse=True))
-
     # -- tables built from the vocabulary on first use, then kept ----------
+
+    @functools.cached_property
+    def n_run_cover(self) -> tuple[tuple[int, int], ...]:
+        """The ``(width, id)`` of each N-run token, longest first: what seg_n covers N runs with."""
+        cover = [(len(t), i) for i, t in enumerate(self.tokens) if set(t) == {N_CHAR}]
+        return tuple(sorted(cover, reverse=True))  # N-run tokens are distinct, so are their widths
 
     @functools.cached_property
     def rc_labels(self) -> np.ndarray:
         """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements). Read-only."""
         n = self.n_nonspecial
-        lut = np.full(len(self.tokens), -1, dtype=np.int64)
+        lut = np.full(len(self.tokens), -1, dtype=np.int32)
         if self.kind == BPE:
             lut[:n] = np.arange(n)
         else:
@@ -310,7 +308,7 @@ def _pure_kmers(tokens: tuple[str, ...], k: int) -> tuple[np.ndarray, np.ndarray
     positions = (lengths == k).nonzero()[0]
     starts = np.cumsum(lengths)[positions] - k
     # one byte per character ("replace" keeps that for non-ASCII), non-ACGT as 4
-    digits = np.frombuffer("".join(tokens).encode("ascii", "replace").translate(_DIGIT_TABLE), dtype=np.uint8)
+    digits = np.frombuffer("".join(tokens).encode("ascii", "replace").translate(BASE_CODES), dtype=np.uint8)
     values = np.zeros(positions.size, dtype=np.int32)
     pure = np.ones(positions.size, dtype=bool)
     for j in range(k):

@@ -73,15 +73,6 @@ class LeakageReport:
     candidate_sizes: tuple[int, ...]
     max_entropy_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "ratio_percent": self.ratio_percent,
-            "candidate_sizes": list(self.candidate_sizes),
-            "max_entropy_ratio": self.max_entropy_ratio,
-        }
-
 
 def leakage_report(k: int, m: int) -> LeakageReport:
     return LeakageReport(

@@ -234,7 +234,9 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     under temporary names beside their targets and renamed into place
     only when the whole run succeeds; a failed run leaves neither behind.
     """
-    vocab = Vocabulary.load(cfg.vocab_path)
+    with open(cfg.vocab_path, "rb") as fh:
+        vocab_bytes = fh.read()  # parsed and hashed, so the manifest names the vocabulary used
+    vocab = Vocabulary.from_json_bytes(vocab_bytes)
     spec = TokenizerSpec(vocab, n_mode=cfg.n_mode, add_sentinels=cfg.add_sentinels)
     mask_cfg = MaskConfig.for_vocab(
         vocab, p=cfg.p, mode=cfg.mode, master_seed=cfg.master_seed
@@ -265,7 +267,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
             "version": __version__,
             "config": asdict(cfg),
             "inputs": {
-                "vocab": _sha256(cfg.vocab_path),
+                "vocab": hashlib.sha256(vocab_bytes).hexdigest(),
                 "fasta": _sha256(cfg.fasta_path) if os.path.exists(cfg.fasta_path) else None,
             },
             "outputs": {"batch": batch_digest.hexdigest(), "records": n_records},

@@ -26,12 +26,13 @@ import heapq
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .core import (
+    BASE_CODES,
     BPE,
     KMER,
     MAX_K,
@@ -49,24 +50,18 @@ N_MODE_DROP = "drop"
 N_MODE_SEG = "seg_n"
 N_MODES = (N_MODE_AS_UNK, N_MODE_DROP, N_MODE_SEG)
 
-_N_CODE = 4
-_CODE_TABLE = bytes.maketrans((NUCLEOTIDES + N_CHAR).encode("ascii"), bytes(range(_N_CODE + 1)))
+_N_CODE = BASE_CODES[ord(N_CHAR)]
 
 _N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenizerSpec:
-    """A vocabulary plus the N-handling mode and sentinel flag.
-
-    ``n_run_cover``: the ``(width, id)`` of each N-run token, longest
-    first, found once for seg_n mode (empty in the others).
-    """
+    """A vocabulary plus the N-handling mode and sentinel flag, checked once on construction."""
 
     vocab: Vocabulary
     n_mode: str = N_MODE_AS_UNK
     add_sentinels: bool = False
-    n_run_cover: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_mode not in N_MODES:
@@ -75,16 +70,13 @@ class TokenizerSpec:
             raise ConfigError("as_unk mode requires an UNK special token")
         if self.add_sentinels and not {"CLS", "SEP"} <= self.vocab.specials.keys():
             raise ConfigError("sentinels require CLS and SEP special tokens")
-        self.n_run_cover = ()
-        if self.n_mode == N_MODE_SEG:
-            self.n_run_cover = tuple((len(t), self.vocab.id_of(t)) for t in self.vocab.n_run_tokens())
-            if not self.n_run_cover:
-                raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
+        if self.n_mode == N_MODE_SEG and not self.vocab.n_run_cover:
+            raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
 
 
 def _codes(bases: str) -> np.ndarray:
     """A read-only array of base codes: A, C, G, T, N -> 0..4."""
-    return np.frombuffer(bases.encode("ascii").translate(_CODE_TABLE), dtype=np.uint8)
+    return np.frombuffer(bases.encode("ascii").translate(BASE_CODES), dtype=np.uint8)
 
 
 def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
@@ -218,12 +210,6 @@ def tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
 # -- N segmentation ---------------------------------------------------------
 
 
-def _iter_n_runs(bases: str) -> Iterator[tuple[int, int, bool]]:
-    """Yield (start, end, is_n_run) for maximal N / non-N stretches."""
-    for m in _N_RUNS.finditer(bases):
-        yield m.start(), m.end(), bases[m.start()] == N_CHAR
-
-
 def _cover_n_run(length: int, cover: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Ids of the N-run tokens covering ``length`` N's, each as often as fits, longest first."""
     counts = []
@@ -246,15 +232,16 @@ def _split_at_n(bases: str, spec: TokenizerSpec, encode: Callable[[str], np.ndar
     seg_n mode only (their as_unk and drop act per window); BPE takes it
     in every mode.
     """
-    head, tail = _sentinels(spec.vocab, spec.add_sentinels)
+    vocab = spec.vocab
+    head, tail = _sentinels(vocab, spec.add_sentinels)
     parts = [np.array(head, dtype=np.int32)]
-    for start, end, is_n in _iter_n_runs(bases):
-        if not is_n:
-            parts.append(encode(bases[start:end]))
+    for run in _N_RUNS.finditer(bases):
+        if bases[run.start()] != N_CHAR:
+            parts.append(encode(run[0]))
         elif spec.n_mode == N_MODE_SEG:
-            parts.append(_cover_n_run(end - start, spec.n_run_cover))
+            parts.append(_cover_n_run(run.end() - run.start(), vocab.n_run_cover))
         elif spec.n_mode == N_MODE_AS_UNK:
-            parts.append(np.full(end - start, spec.vocab.unk_id, dtype=np.int32))
+            parts.append(np.full(run.end() - run.start(), vocab.unk_id, dtype=np.int32))
     parts.append(np.array(tail, dtype=np.int32))
     return np.concatenate(parts)
 
@@ -281,7 +268,7 @@ class _BpeState:
         nxt: list[int] = []
         for run in runs:
             start, end = len(tok), len(tok) + len(run)
-            tok.extend(run.encode("ascii").translate(_CODE_TABLE))
+            tok.extend(run.encode("ascii").translate(BASE_CODES))
             prv.extend(range(start - 1, end - 1))
             nxt.extend(range(start + 1, end + 1))
             prv[start] = nxt[end - 1] = -1
@@ -396,7 +383,7 @@ def bpe_train(corpus: Iterable[DnaSequence], target_size: int) -> Vocabulary:
     boundary. If the corpus runs out of adjacent pairs first, the
     vocabulary is returned at the achieved size with a warning.
     """
-    return _train(corpus, target_size, snapshot_sizes=())[0]
+    return bpe_train_sizes(corpus, [target_size])[target_size]
 
 
 def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict[int, Vocabulary]:
@@ -404,48 +391,33 @@ def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict
 
     Greedy BPE merges depend only on the corpus and the preceding merges,
     so the size-S vocabulary is exactly the S-token prefix of the largest
-    training run.
+    training run. Every size must be at least 4, the base alphabet. If
+    the corpus runs out of adjacent pairs first, each size not reached
+    gets the vocabulary at the achieved size, with a warning.
     """
     wanted = sorted(set(sizes))
     if not wanted:
         raise ConfigError("no sizes requested")
-    return _train(corpus, wanted[-1], snapshot_sizes=tuple(wanted))[1]
-
-
-def _train(
-    corpus: Iterable[DnaSequence],
-    target_size: int,
-    snapshot_sizes: tuple[int, ...],
-) -> tuple[Vocabulary, dict[int, Vocabulary]]:
-    if target_size < 4:
-        raise ConfigError(f"target_size must be >= 4 (the base alphabet), got {target_size}")
+    if wanted[0] < 4:
+        raise ConfigError(f"target_size must be >= 4 (the base alphabet), got {wanted[0]}")
     state = _BpeState(_corpus_runs(corpus))
     merges: list[tuple[str, str]] = []
     snaps: dict[int, Vocabulary] = {}
     size = 4
-    if size in snapshot_sizes:
-        snaps[size] = bpe_vocab_from_merges([])
-    while size < target_size:
-        pair = state.best_pair()
-        if pair is None:
+    for want in wanted:
+        while size < want and (pair := state.best_pair()) is not None:
+            merges.append((state.strings[pair[0]], state.strings[pair[1]]))
+            _, fresh = state.merge(pair)
+            size += fresh
+        if size < want:
             warnings.warn(
                 f"corpus exhausted after {len(merges)} merges; "
                 f"vocabulary truncated at {size} non-special tokens",
                 stacklevel=2,
             )
-            break
-        left, right = state.strings[pair[0]], state.strings[pair[1]]
-        _, fresh = state.merge(pair)
-        merges.append((left, right))
-        if fresh:
-            size += 1
-            if size in snapshot_sizes:
-                snaps[size] = bpe_vocab_from_merges(merges)
-    vocab = bpe_vocab_from_merges(merges)
-    for want in snapshot_sizes:
-        if want not in snaps:
-            snaps[want] = vocab  # exhausted before reaching this size
-    return vocab, snaps
+            return snaps | dict.fromkeys(wanted[len(snaps) :], bpe_vocab_from_merges(merges))
+        snaps[want] = bpe_vocab_from_merges(merges)
+    return snaps
 
 
 # -- BPE encoding -------------------------------------------------------------
@@ -544,6 +516,8 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
     """
     if spec.vocab.kind != KMER:
         raise ConfigError("parallel encoding is only defined for the kmer tokenizer")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     k = spec.vocab.k
     m = len(seq.bases) - k + 1
     chunks = min(threads, m // _MIN_CHUNK)

@@ -24,8 +24,6 @@ from .core import CULL_TOKEN, SPECIAL_TOKENS, Vocabulary
 from .errors import ConstraintError, DataError
 from .tokenizers import TokenizerSpec, tokenize
 
-FREQ_BANDS = ("low", "mid", "high")
-ACC_BANDS = ("low", "high")
 CULL_FRACTION_MAX = 0.10
 
 # Successor keys gathered across records before one sort counts them into

@@ -75,7 +75,7 @@ class TestKmerVocab:
 
     def test_n_tokens_longest_first(self):
         vocab = build_kmer_vocab(3, include_n_tokens=True)
-        assert vocab.n_run_tokens() == ("NNN", "NN", "N")
+        assert vocab.n_run_cover == tuple((len(t), vocab.id_of(t)) for t in ("NNN", "NN", "N"))
         assert vocab.n_nonspecial == 64 + 3
 
     def test_specials_occupy_tail(self):

@@ -162,7 +162,7 @@ class TestSopOracle:
         body = np.random.default_rng(seed).integers(0, V3.n_nonspecial, body_size)
         toks = (with_sentinels(V3, body) if sentinels else body).astype(np.int32)
         got = sop_transform(toks, prob, np.random.default_rng(seed), first_special_id=V3.n_nonspecial)
-        want = sop_reference(toks, prob, np.random.default_rng(seed), V3.special_ids)
+        want = sop_reference(toks, prob, np.random.default_rng(seed), V3.specials.values())
         assert got[1] == want[1]
         assert np.array_equal(got[0], want[0]) and got[0].dtype == toks.dtype
         assert got[0] is not toks
@@ -303,7 +303,7 @@ class TestRcLabelLut:
 
 @pytest.mark.parametrize("mode", ["fixed", "flawed"])
 def test_int32_ids_stay_int32(mode):
-    """Tokenizer ids are int32; masking and the guiding tasks keep that dtype."""
+    """Tokenizer ids are int32; masking and the guiding tasks' labels keep that dtype."""
     vocab = build_kmer_vocab(6)
     cfg = MaskConfig.for_vocab(vocab, p=0.3, mode=mode, master_seed=4)
     toks = with_sentinels(vocab, range(0, 4000, 37)).astype(np.int32)
@@ -316,3 +316,8 @@ def test_int32_ids_stay_int32(mode):
     masked, mst = mst_apply(swapped, plan)
     assert masked.dtype == np.int32 and mst.label_array.dtype == np.int32
     assert mst.labels == {0: vocab.special_id("CLS"), swapped.size - 1: vocab.special_id("SEP")}
+    if mode == "fixed":
+        ftm = ftm_targets(plan)
+        assert ftm.label_array.size and ftm.label_array.dtype == np.int32
+    csp = csp_targets(neighbor_mask(swapped, [], cfg), vocab)  # no targets leave every body position to CSP
+    assert csp.label_array.size and csp.label_array.dtype == np.int32

@@ -255,7 +255,7 @@ class TestWindowRng:
         toks = body_tokens(V3, 300)
         for ordinal in (0, 1023, 1024, 2**32 + 5):
             draws = np.random.default_rng((cfg.master_seed, ordinal)).random(toks.size)
-            want = np.flatnonzero((draws < cfg.p) & ~np.isin(toks, list(V3.special_ids)))
+            want = np.flatnonzero((draws < cfg.p) & ~np.isin(toks, list(V3.specials.values())))
             assert np.array_equal(select_targets(toks, cfg, ordinal), want)
 
 
@@ -298,7 +298,7 @@ class TestNeighborMaskReference:
         cfg = MaskConfig(p=0.11, k=k, mode=mode, first_special_id=V3.n_nonspecial, mask_id=V3.mask_id)
         targets = [p for p in picks if p < len(body)]
         plan = neighbor_mask(np.array(body, dtype=np.int64), targets, cfg)
-        input_ids, m, m_in, labels, special = reference_plan(body, targets, k, mode, V3.special_ids, V3.mask_id)
+        input_ids, m, m_in, labels, special = reference_plan(body, targets, k, mode, V3.specials.values(), V3.mask_id)
         assert plan.input_ids.tolist() == input_ids
         assert (plan.m_positions, plan.m_in_positions, plan.labels, plan.special_positions) == (
             m, m_in, labels, special

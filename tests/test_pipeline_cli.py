@@ -143,6 +143,22 @@ class TestRunPipeline:
         # hashed as written: the digest of the bytes that landed in the file
         assert result.output_digest == hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
 
+    def test_manifest_vocab_digest_names_the_vocabulary_used(self, tmp_path, vocab3_path):
+        """Rewriting the vocabulary file mid-run leaves the manifest digest on the bytes parsed."""
+        used = open(vocab3_path, "rb").read()
+
+        def sequences():
+            yield DnaSequence("ACGTACGT", "a")
+            build_kmer_vocab(4).save(vocab3_path)
+            yield DnaSequence("TTGCA", "b")
+
+        cfg = PipelineConfig(
+            vocab_path=vocab3_path, fasta_path=str(tmp_path / "absent.fa"), out_path=str(tmp_path / "out.jsonl")
+        )
+        result = run_pipeline(cfg, sequences())
+        assert open(vocab3_path, "rb").read() != used
+        assert result.manifest["inputs"]["vocab"] == hashlib.sha256(used).hexdigest()
+
     def test_fixed_vs_flawed_crafted_diff(self, tmp_path, vocab6_path):
         # 10 bases -> 5 body tokens at k=6; a lone target at position 2
         # makes both modes mask the whole body, so the outputs differ

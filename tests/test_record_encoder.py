@@ -102,7 +102,7 @@ def test_first_special_id_marks_exactly_the_special_ids(name):
     vocab = VOCABS[name]
     cfg = MaskConfig.for_vocab(vocab, p=1.0)
     ids = np.arange(len(vocab), dtype=np.int32)
-    special = np.isin(ids, list(vocab.special_ids))
+    special = np.isin(ids, list(vocab.specials.values()))
     assert cfg.first_special_id == vocab.n_nonspecial
     assert np.array_equal(ids >= cfg.first_special_id, special)
     assert np.array_equal(neighbor_mask(ids, [], cfg).special_mask, special)

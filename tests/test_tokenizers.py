@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import re
@@ -206,7 +207,8 @@ class TestSegmentWithN:
     def test_segmented_ids_match_oracle(self, bases, k):
         vocab = build_kmer_vocab(k, include_n_tokens=True, kind="word")
         got = word_tokenize(DnaSequence(bases), TokenizerSpec(vocab, n_mode="seg_n"))
-        want = [vocab.id_of(t) for t in segment_with_n(DnaSequence(bases), k, vocab.n_run_tokens())]
+        cover = [vocab.tokens[i] for _, i in vocab.n_run_cover]
+        want = [vocab.id_of(t) for t in segment_with_n(DnaSequence(bases), k, cover)]
         assert got.tolist() == want
 
     def test_seg_mode_word_matches_algorithm(self):
@@ -225,14 +227,22 @@ class TestSegmentWithN:
             TokenizerSpec(vocab, n_mode="seg_n")
 
     @pytest.mark.parametrize("kind", ["kmer", "word", "bpe"])
-    def test_n_run_tokens_are_found_once_per_spec(self, kind):
+    def test_n_run_cover_is_built_once_per_vocabulary(self, kind):
         vocab = _BPE_N if kind == "bpe" else build_kmer_vocab(3, include_n_tokens=True, kind=kind)
-        lookup = mock.patch.object(Vocabulary, "n_run_tokens", autospec=True, side_effect=Vocabulary.n_run_tokens)
-        with lookup as found:
-            spec = TokenizerSpec(vocab, n_mode="seg_n", add_sentinels=True)
-            for window in iter_windows([DnaSequence("ACGTNNNNNACGTTN" * 20)], 32):
-                tokenize(window, spec)
-        assert found.call_count == 1
+        spec = TokenizerSpec(vocab, n_mode="seg_n", add_sentinels=True)
+        cover = vocab.n_run_cover
+        for window in iter_windows([DnaSequence("ACGTNNNNNACGTTN" * 20)], 32):
+            tokenize(window, spec)
+        assert vocab.n_run_cover is cover
+        assert TokenizerSpec(vocab, n_mode="seg_n").vocab.n_run_cover is cover
+
+    @pytest.mark.parametrize("field, value", [("n_mode", "bogus"), ("n_mode", "seg_n"), ("add_sentinels", True)])
+    def test_spec_fields_cannot_be_assigned(self, field, value):
+        """A spec is checked once, on construction, so its fields are frozen."""
+        spec = TokenizerSpec(build_kmer_vocab(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field, value)
+        assert (spec.n_mode, spec.add_sentinels) == ("as_unk", False)
 
 
 class TestBpeTrain:
@@ -277,6 +287,14 @@ class TestBpeTrain:
         snaps = bpe_train_sizes(corpus, [8, 16])
         direct = bpe_train(corpus, 8)
         assert snaps[8].to_json_bytes() == direct.to_json_bytes()
+
+    @pytest.mark.parametrize("sizes", [[2, 16], [3], [0, 4], [-1, 8, 12]])
+    def test_sizes_below_the_alphabet_are_rejected(self, sizes):
+        corpus = [DnaSequence("ACGTTGCATTACGGATACGTAACCGGTT" * 20)]
+        with pytest.raises(ConfigError, match="target_size must be >= 4"):
+            bpe_train(corpus, min(sizes))
+        with pytest.raises(ConfigError, match="target_size must be >= 4"):
+            bpe_train_sizes(corpus, sizes)
 
     def test_nonoverlapping_counts(self):
         # AAAA has two non-overlapping AA occurrences, AAA would have one;
@@ -428,6 +446,14 @@ class TestParallel:
                     kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
         assert pools == [2, 3, 3]
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("length", [0, 8, 2400])
+    def test_threads_below_one_are_rejected(self, threads, length):
+        spec = TokenizerSpec(build_kmer_vocab(3))
+        with mock.patch.object(tokenizers, "_MIN_CHUNK", 10):
+            with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+                kmer_tokenize_parallel(DnaSequence(("ACGT" * 600)[:length]), spec, threads)
+
 
 _BPE_N = bpe_with_n_runs(bpe_train([DnaSequence("ACGTTGCAACGTAAACCCGGGTTT" * 4)], 12))
 
@@ -496,7 +522,8 @@ def reference_ids(vocab, bases, n_mode, sentinels):
     if n_mode == "seg_n":
         for run in re.findall("N+|[^N]+", bases):
             if run[0] == "N":
-                ids.extend(vocab.id_of(t) for t in segment_with_n(DnaSequence(run), k, vocab.n_run_tokens()))
+                cover = [vocab.tokens[i] for _, i in vocab.n_run_cover]
+                ids.extend(vocab.id_of(t) for t in segment_with_n(DnaSequence(run), k, cover))
             else:
                 ids.extend(look(run[p : p + k]) for p in range(0, len(run) - k + 1, stride))
     else:
