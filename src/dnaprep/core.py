@@ -4,8 +4,8 @@ Everything downstream (tokenizers, masking, statistics) is built on the two
 types defined here: :class:`DnaSequence`, a validated uppercase nucleotide
 string, and :class:`Vocabulary`, an ordered token set with special-token
 bookkeeping and the tables built from it: k-mer values, reverse-complement
-labels, the N-run cover and BPE merge ranks. :data:`BASE_CODES` is the one
-base-code table: the tokenizers and the k-mer value table read it.
+labels, the N-run cover and the BPE merge table. :data:`BASE_CODES` is the
+one base-code table: the tokenizers and the k-mer value table read it.
 
 Conventions fixed here for determinism:
 
@@ -17,8 +17,9 @@ Conventions fixed here for determinism:
   non-special token;
 * the reverse complement of ``N`` is ``N``.
 
-All types are treated as immutable after construction and are safe to share
-across threads.
+Both types are frozen after construction (a vocabulary's ``specials`` is a
+read-only mapping), so the tables a vocabulary caches stay true to it, and
+both are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -104,7 +107,21 @@ def rc_string(bases: str) -> str:
     return bases.translate(_COMPLEMENT)[::-1]
 
 
-@dataclass
+class BpeMergeTable(NamedTuple):
+    """A BPE vocabulary's merge rules over merge-space ids, the form the encoder works in.
+
+    Merge-space ids number A, C, G and T 0..3 (their base codes), then
+    every other string that a merge names, in order of first mention.
+    """
+
+    strings: tuple[str, ...]  # merge-space id -> string
+    shift: int  # a pair's key is ``left << shift | right``
+    pair_ranks: dict[int, int]  # pair key -> rank of the first rule for that pair
+    rules: tuple[tuple[int, int, int], ...]  # rank -> (left, right, output)
+    ids: np.ndarray  # merge-space id -> vocabulary id: [CULL] where culled, -1 where missing without one
+
+
+@dataclass(frozen=True)
 class Vocabulary:
     """Ordered token set: index in ``tokens`` is the token id.
 
@@ -112,12 +129,13 @@ class Vocabulary:
     ids always occupy the tail of the id range so non-special ids are
     contiguous from 0 (stable label spaces when culling). ``merges`` is
     only populated for BPE vocabularies and records the ordered merge
-    rules used to rebuild the token set and to encode.
+    rules used to rebuild the token set and to encode. Fields cannot be
+    assigned after construction and ``specials`` is read-only.
     """
 
     kind: str
     tokens: tuple[str, ...]
-    specials: dict[str, int]
+    specials: Mapping[str, int]
     k: int | None = None
     merges: tuple[tuple[str, str], ...] = ()
 
@@ -128,9 +146,10 @@ class Vocabulary:
             raise ConfigError(f"unknown vocabulary kind {self.kind!r}")
         if self.kind in (KMER, WORD) and not (type(self.k) is int and 1 <= self.k <= MAX_K):
             raise DataError(f"{self.kind} vocabulary requires an integer k in [1, {MAX_K}], got {self.k!r}")
-        self.tokens = tuple(self.tokens)
-        self.merges = tuple((l, r) for l, r in self.merges)
-        self._token_to_id = {t: i for i, t in enumerate(self.tokens)}
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "specials", MappingProxyType(dict(self.specials)))
+        object.__setattr__(self, "merges", tuple((l, r) for l, r in self.merges))
+        object.__setattr__(self, "_token_to_id", {t: i for i, t in enumerate(self.tokens)})
         if len(self._token_to_id) != len(self.tokens):
             raise DataError("duplicate token strings in vocabulary")
         n_special = len(self.specials)
@@ -142,6 +161,10 @@ class Vocabulary:
                 raise DataError(f"special {name} does not match token at id {sid}")
         if CULL_TOKEN in self._token_to_id and self._token_to_id[CULL_TOKEN] >= self.n_nonspecial:
             raise DataError(f"{CULL_TOKEN} must not be a special token")
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; rebuild from the fields, without the caches
+        return Vocabulary, (self.kind, self.tokens, dict(self.specials), self.k, self.merges)
 
     # -- id bookkeeping ----------------------------------------------------
 
@@ -249,12 +272,21 @@ class Vocabulary:
         return lut
 
     @functools.cached_property
-    def merge_ranks(self) -> dict[tuple[str, str], int]:
-        """Each merge rule's rank, its first index in ``merges``."""
-        ranks: dict[tuple[str, str], int] = {}
-        for rank, pair in enumerate(self.merges):
-            ranks.setdefault(pair, rank)
-        return ranks
+    def merge_table(self) -> BpeMergeTable:
+        """The merges in merge space: each rule's ids, each pair's first rank, each id's vocabulary id."""
+        space = {base: code for code, base in enumerate(NUCLEOTIDES)}
+        rules = tuple(
+            (space.setdefault(l, len(space)), space.setdefault(r, len(space)), space.setdefault(l + r, len(space)))
+            for l, r in self.merges
+        )
+        shift = len(space).bit_length()
+        pair_ranks: dict[int, int] = {}
+        for rank, (l, r, _) in enumerate(rules):
+            pair_ranks.setdefault(l << shift | r, rank)
+        fill = -1 if self.cull_id is None else self.cull_id
+        ids = np.array([self._token_to_id.get(s, fill) for s in space], dtype=np.int32)
+        ids.flags.writeable = False
+        return BpeMergeTable(tuple(space), shift, pair_ranks, rules, ids)
 
     # -- serialization -----------------------------------------------------
 

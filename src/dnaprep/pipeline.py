@@ -47,9 +47,9 @@ from .tokenizers import N_MODE_AS_UNK, TokenizerSpec, tokenize
 _SOP_STREAM = 1  # sub-stream tag so SOP draws never collide with masking draws
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved settings for one batch-generation run."""
+    """Resolved settings for one batch-generation run, checked once on construction and then frozen."""
 
     vocab_path: str
     fasta_path: str
@@ -65,7 +65,7 @@ class PipelineConfig:
     threads: int = 1  # checked, then unused: windows run serially (see module docstring)
 
     def __post_init__(self) -> None:
-        self.guiding = tuple(self.guiding)
+        object.__setattr__(self, "guiding", tuple(self.guiding))
         unknown = [t for t in self.guiding if t not in GUIDING_TASKS]
         if unknown:
             raise ConfigError(f"unknown guiding tasks: {unknown}")

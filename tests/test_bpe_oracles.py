@@ -7,14 +7,17 @@ lowest-ranked present pair before every merge.
 """
 
 import itertools
+import random
+import re
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnaprep import DnaSequence, bpe_encode, bpe_train, bpe_train_sizes
-from dnaprep.core import bpe_vocab_from_merges
+from dnaprep import CullSpec, DataError, DnaSequence, bpe_encode, bpe_train, bpe_train_sizes, cull_vocab, remap_ids
+from dnaprep.core import BPE, Vocabulary, _with_specials, bpe_vocab_from_merges
+from dnaprep.vocabstats import CULL_FRACTION_MAX
 
 ALPHABETS = ("ACGT", "AT", "ACGTN", "ATN", "AN")
 
@@ -155,3 +158,36 @@ def test_encoding_repeated_outputs_matches_oracle(merges):
     vocab = bpe_vocab_from_merges(merges)
     for bases in ("AAT", "AATAATAT", "AAAATTATAT", "ATATANAATAT", "AAAAAAAAT"):
         assert bpe_encode(DnaSequence(bases), vocab).tolist() == naive_encode(bases, vocab)
+
+
+@given(corpora, st.integers(10, 60), st.sampled_from(ALPHABETS).flatmap(_sequences), st.data())
+@settings(max_examples=200, deadline=None)
+def test_encoding_culled_vocabularies_remaps_the_full_encoding(texts, target_size, others, data):
+    """A culled vocabulary encodes as the full one, with each removed token read as [CULL]."""
+    full = train(texts, target_size)
+    cap = int(CULL_FRACTION_MAX * full.n_nonspecial)
+    remove = data.draw(st.frozensets(st.integers(0, full.n_nonspecial - 1), min_size=min(1, cap), max_size=cap))
+    culled, remap = cull_vocab(full, CullSpec(remove))
+    for bases in texts + others:
+        want = remap_ids(bpe_encode(DnaSequence(bases), full), remap)
+        assert bpe_encode(DnaSequence(bases), culled).tolist() == want.tolist()
+
+
+def test_an_emitted_token_missing_without_cull_is_named():
+    """A merge output the vocabulary lacks raises only when a run ends holding it."""
+    tokens, specials = _with_specials(["A", "C", "G", "T", "ATC"])
+    vocab = Vocabulary(kind=BPE, tokens=tokens, specials=specials, merges=(("A", "T"), ("AT", "C")))
+    assert bpe_encode(DnaSequence("GATCNATC"), vocab).tolist() == naive_encode("GATCNATC", vocab)
+    with pytest.raises(DataError, match=re.escape("token 'AT' missing from BPE vocabulary")):
+        bpe_encode(DnaSequence("ATCNATG"), vocab)
+
+
+def test_encoding_long_runs_matches_oracle():
+    """At the benchmark's shape, where a rank's bucket holds hundreds of positions."""
+    rng = random.Random(0)
+    bases = "".join(rng.choice("ACGT") for _ in range(2_000 + 4_000 + 8 * 512))
+    vocab = train([bases[:2_000]], 256)
+    assert len(vocab.merges) == 252
+    runs = [bases[2_000:6_000]] + [bases[start : start + 512] for start in range(6_000, len(bases), 512)]
+    for run in runs:
+        assert bpe_encode(DnaSequence(run), vocab).tolist() == naive_encode(run, vocab)

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import pickle
 import re
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -125,9 +128,9 @@ class TestRcLabel:
         ("kmer_value_table", build_kmer_vocab(3)),
         ("kmer_value_table", cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0]),
         ("rc_labels", build_kmer_vocab(3)),
-        ("merge_ranks", bpe_vocab_from_merges([("A", "T"), ("C", "G"), ("A", "T")])),
+        ("merge_table", bpe_vocab_from_merges([("A", "T"), ("C", "G"), ("A", "T")])),
     ],
-    ids=["identity_value_table", "culled_value_table", "rc_labels", "merge_ranks"],
+    ids=["identity_value_table", "culled_value_table", "rc_labels", "merge_table"],
 )
 def test_tables_are_built_once_and_leave_equality_alone(table, vocab):
     """A table is built on its first read and kept; it takes no part in equality."""
@@ -140,6 +143,43 @@ def test_tables_are_built_once_and_leave_equality_alone(table, vocab):
     assert build.call_count == 1
     assert table in vars(fresh) and table not in vars(twin)
     assert fresh == twin and twin == fresh
+
+
+class TestFrozen:
+    def test_assigning_tokens_after_reading_the_cover_raises(self):
+        """Once frozen, no assignment can leave a cached table describing other tokens."""
+        vocab = build_kmer_vocab(2, include_n_tokens=True)
+        cover = vocab.n_run_cover
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vocab.tokens = vocab.tokens[:16] + vocab.tokens[18:]
+        assert len(vocab.tokens) == 23 and vocab.special_id("PAD") == 21
+        assert vocab.n_run_cover is cover
+        assert cover == ((2, 16), (1, 17))
+
+    @pytest.mark.parametrize("field", ["kind", "tokens", "specials", "k", "merges"])
+    def test_fields_cannot_be_assigned(self, field):
+        vocab = build_kmer_vocab(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(vocab, field, getattr(vocab, field))
+
+    def test_specials_are_read_only_and_serialize_unchanged(self):
+        specials = {name: 16 + i for i, name in enumerate(SPECIAL_TOKENS)}
+        tokens = build_kmer_vocab(2).tokens
+        vocab = Vocabulary(kind="kmer", tokens=tokens, specials=specials, k=2)
+        specials["UNK"] = 0  # the vocabulary keeps its own copy
+        with pytest.raises(TypeError):
+            vocab.specials["UNK"] = 0
+        assert vocab.unk_id == 20
+        assert json.loads(vocab.to_json_bytes())["specials"] == {name: 16 + i for i, name in enumerate(SPECIAL_TOKENS)}
+        assert vocab.to_json_bytes() == build_kmer_vocab(2).to_json_bytes()
+
+
+    def test_pickles_and_deep_copies_without_its_caches(self):
+        vocab = bpe_vocab_from_merges([("A", "T"), ("AT", "C")])
+        vocab.merge_table
+        for copy in (pickle.loads(pickle.dumps(vocab)), deepcopy(vocab)):
+            assert copy == vocab and copy.to_json_bytes() == vocab.to_json_bytes()
+            assert "merge_table" not in vars(copy)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -679,6 +680,32 @@ def test_negative_master_seed_is_rejected_when_the_config_is_built():
 
     with pytest.raises(ConfigError, match="master seed must be >= 0"):
         PipelineConfig(vocab_path="", fasta_path="", out_path="", master_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vocab_path", "other.json"),
+        ("fasta_path", "other.fa"),
+        ("out_path", "other.jsonl"),
+        ("n_mode", "bogus"),
+        ("add_sentinels", False),
+        ("p", 2.0),
+        ("mode", "bogus"),
+        ("master_seed", -1),
+        ("guiding", ("bogus",)),
+        ("sop_reverse_prob", -1.0),
+        ("window", 0),
+        ("threads", 0),
+    ],
+)
+def test_config_fields_cannot_be_assigned(field, value):
+    """A config is checked once, on construction, and the manifest echoes it: so its fields are frozen."""
+    cfg = PipelineConfig(vocab_path="v.json", fasta_path="in.fa", out_path="out.jsonl", guiding=["ftm"])
+    before = dataclasses.asdict(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    assert dataclasses.asdict(cfg) == before
 
 
 def test_build_record_rejects_a_mask_id_outside_the_vocabulary():

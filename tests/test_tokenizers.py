@@ -393,22 +393,26 @@ class TestBpeEncode:
         ids = bpe_encode(DnaSequence(bases), vocab)
         assert decode_ids(ids, vocab) == bases
 
-    def test_merge_ranks_are_built_once_per_vocabulary(self, monkeypatch):
+    def test_merge_table_is_built_once_per_vocabulary(self, monkeypatch):
         vocab = bpe_vocab_from_merges([("A", "T"), ("C", "G"), ("AT", "CG")])
         seen = []
+        encode_run = tokenizers._bpe_run_ids
 
-        class Recording(tokenizers._BpeEncoder):
-            def __init__(self, runs, ranks):
-                seen.append(ranks)
-                super().__init__(runs, ranks)
+        def recording(run, table):
+            seen.append(table)
+            return encode_run(run, table)
 
-        monkeypatch.setattr(tokenizers, "_BpeEncoder", Recording)
-        assert "merge_ranks" not in vars(vocab)
+        monkeypatch.setattr(tokenizers, "_bpe_run_ids", recording)
+        assert "merge_table" not in vars(vocab)
         for _ in range(2):
             assert toks(vocab, bpe_encode(DnaSequence("ATCGNATCG"), vocab)) == ["ATCG", "[UNK]", "ATCG"]
         assert len(seen) == 4  # two runs per encode
-        assert all(ranks is vocab.merge_ranks for ranks in seen)
-        assert vocab.merge_ranks == {("A", "T"): 0, ("C", "G"): 1, ("AT", "CG"): 2}
+        assert all(table is vocab.merge_table for table in seen)
+        table = vocab.merge_table
+        assert table.strings == ("A", "C", "G", "T", "AT", "CG", "ATCG")
+        assert table.rules == ((0, 3, 4), (1, 2, 5), (4, 5, 6))
+        assert table.pair_ranks == {0 << 3 | 3: 0, 1 << 3 | 2: 1, 4 << 3 | 5: 2}
+        assert table.ids.tolist() == [vocab.id_of(s) for s in table.strings]
 
 
 @pytest.mark.parametrize("bad", [-1, 69, 999])
@@ -575,7 +579,7 @@ def identity_vocab(kind, k):
         return oracle_vocab(kind, k)
     tokens, specials = _with_specials([base * k for base in "ACGT"])
     vocab = Vocabulary(kind=kind, tokens=tokens, specials=specials, k=k)
-    vocab.kmer_value_table = None
+    vars(vocab)["kmer_value_table"] = None  # fills the cache the property would otherwise build
     return vocab
 
 
