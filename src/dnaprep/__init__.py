@@ -4,80 +4,100 @@ Tokenizers (overlapping k-mer, word, BPE), leakage-free neighbor masking
 with a faithful flawed-replication mode, guiding-task target generation,
 analytic leakage quantification, vocabulary statistics and culling, and
 the statistical gate for selecting downstream benchmark datasets.
+
+``import dnaprep`` loads no submodule. Each name below is imported from
+its submodule on first access (PEP 562) and then bound in this namespace,
+so a caller pays only for the modules it uses, and assigning a name here
+(as a tracer does) reroutes later lookups through the package.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    BPE,
-    CULL_TOKEN,
-    KMER,
-    WORD,
-    DnaSequence,
-    Vocabulary,
-    build_kmer_vocab,
-    bpe_vocab_from_merges,
-    reverse_complement,
-)
-from .errors import ConfigError, ConstraintError, DataError, DnaPrepError, ResourceLimitError
-from .fasta import read_fasta
-from .guiding import (
-    GuidingTargets,
-    csp_targets,
-    ftm_targets,
-    mst_apply,
-    sop_transform,
-)
-from .leakage import (
-    LeakageReport,
-    candidate_space_size,
-    empirical_plan_leakage,
-    enumerate_consistent_completions,
-    leakage_ratio,
-    leakage_report,
-    masked_run_window,
-    max_entropy_ratio,
-)
-from .masking import (
-    MODE_FIXED,
-    MODE_FLAWED,
-    MaskConfig,
-    MaskPlan,
-    neighbor_mask,
-    select_targets,
-    verify_no_leakage,
-)
-from .benchstats import (
-    CriteriaReport,
-    RunRecord,
-    ScalingRecord,
-    criteria_report,
-    dataset_sigma,
-    ols_fit,
-    shapiro_wilk,
-    stability_filter,
-    validity_filter,
-)
-from .pipeline import PipelineConfig, build_record, iter_windows, run_pipeline
-from .tokenizers import (
-    N_MODE_AS_UNK,
-    N_MODE_DROP,
-    N_MODE_SEG,
-    TokenizerSpec,
-    bpe_encode,
-    bpe_train,
-    bpe_train_sizes,
-    decode_ids,
-    kmer_tokenize,
-    kmer_tokenize_parallel,
-    tokenize,
-    word_tokenize,
-)
-from .vocabstats import (
-    CullSpec,
-    TokenStats,
-    bucket_tokens,
-    compute_token_stats,
-    cull_vocab,
-    remap_ids,
-)
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "core": (
+        "BPE",
+        "CULL_TOKEN",
+        "KMER",
+        "WORD",
+        "DnaSequence",
+        "Vocabulary",
+        "build_kmer_vocab",
+        "bpe_vocab_from_merges",
+        "reverse_complement",
+    ),
+    "errors": ("ConfigError", "ConstraintError", "DataError", "DnaPrepError", "ResourceLimitError"),
+    "fasta": ("read_fasta",),
+    "guiding": ("GuidingTargets", "csp_targets", "ftm_targets", "mst_apply", "sop_transform"),
+    "leakage": (
+        "LeakageReport",
+        "candidate_space_size",
+        "empirical_plan_leakage",
+        "enumerate_consistent_completions",
+        "leakage_ratio",
+        "leakage_report",
+        "masked_run_window",
+        "max_entropy_ratio",
+    ),
+    "masking": (
+        "MODE_FIXED",
+        "MODE_FLAWED",
+        "MaskConfig",
+        "MaskPlan",
+        "neighbor_mask",
+        "select_targets",
+        "verify_no_leakage",
+    ),
+    "benchstats": (
+        "CriteriaReport",
+        "RunRecord",
+        "ScalingRecord",
+        "criteria_report",
+        "dataset_sigma",
+        "ols_fit",
+        "shapiro_wilk",
+        "stability_filter",
+        "validity_filter",
+    ),
+    "pipeline": ("PipelineConfig", "build_record", "iter_windows", "run_pipeline"),
+    "tokenizers": (
+        "N_MODE_AS_UNK",
+        "N_MODE_DROP",
+        "N_MODE_SEG",
+        "TokenizerSpec",
+        "bpe_encode",
+        "bpe_train",
+        "bpe_train_sizes",
+        "decode_ids",
+        "kmer_tokenize",
+        "kmer_tokenize_parallel",
+        "tokenize",
+        "word_tokenize",
+    ),
+    "vocabstats": (
+        "CullSpec",
+        "TokenStats",
+        "bucket_tokens",
+        "compute_token_stats",
+        "cull_vocab",
+        "remap_ids",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet, reachable as before
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -5,36 +5,22 @@ cull, benchstats. Exit codes: 0 ok, 1 usage error, 2 data error,
 3 constraint violation. ``DNAPREP_SEED`` and ``DNAPREP_THREADS``
 override the corresponding flags when those are left at their defaults;
 a value that is not an integer is a usage error.
+
+Start-up stays flat as commands are added: importing this module loads
+only the standard library and ``dnaprep.errors``, the parser loads the
+modules that hold its choice lists, and each subcommand imports the
+modules it runs when it is dispatched.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
-from .core import BPE, KMER, WORD, Vocabulary, build_kmer_vocab
 from .errors import ConfigError, DataError, DnaPrepError
-from .fasta import read_fasta
-from .guiding import GUIDING_TASKS
-from .leakage import leakage_report, run_leakage
-from .masking import MASK_MODES, MODE_FIXED
-from .pipeline import PipelineConfig, _atomic_output, iter_windows, run_pipeline
-from .tokenizers import N_MODE_AS_UNK, N_MODES, TokenizerSpec, bpe_train, tokenize
-from .vocabstats import (
-    CullSpec,
-    bucket_tokens,
-    compute_token_stats,
-    cull_vocab,
-    load_accuracy_csv,
-    write_stats_csv,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +45,9 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
+    from .masking import MASK_MODES, MODE_FIXED
+    from .tokenizers import N_MODE_AS_UNK, N_MODES
+
     sub.add_argument("--vocab", required=True, help="vocabulary JSON file")
     sub.add_argument("--fasta", required=True, help="input FASTA (.gz accepted)")
     sub.add_argument("--out", required=True, help="output JSONL batch file")
@@ -76,7 +65,9 @@ def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]):
+    from .pipeline import PipelineConfig
+
     seed = args.seed if args.seed is not None else _env_int("DNAPREP_SEED", 0)
     threads = args.threads if args.threads is not None else _env_int("DNAPREP_THREADS", 1)
     return PipelineConfig(
@@ -96,6 +87,10 @@ def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]) -> Pipe
 
 
 def build_parser() -> _Parser:
+    from .core import BPE, KMER, WORD
+    from .guiding import GUIDING_TASKS
+    from .tokenizers import N_MODE_AS_UNK, N_MODES
+
     parser = _Parser(prog="dnaprep", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dnaprep {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -157,6 +152,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_build_vocab(args) -> int:
+    from .atomic import atomic_output
+    from .core import KMER, WORD, build_kmer_vocab
+
     if args.kind in (KMER, WORD):
         if args.k is None:
             raise ConfigError("--k is required for kmer/word vocabularies")
@@ -164,19 +162,29 @@ def _cmd_build_vocab(args) -> int:
     else:
         if not args.fasta or not args.target_size:
             raise ConfigError("--fasta and --target-size are required for BPE training")
+        from .fasta import read_fasta
+        from .tokenizers import bpe_train
+
         vocab = bpe_train(read_fasta(args.fasta), args.target_size)
-    with _atomic_output(args.out) as tmp:
+    with atomic_output(args.out) as tmp:
         vocab.save(tmp)
     return EXIT_OK
 
 
 def _cmd_tokenize(args) -> int:
+    from .atomic import atomic_output
+    from .core import Vocabulary
+    from .fasta import read_fasta
+    from .tokenizers import TokenizerSpec, tokenize
+
     seqs = read_fasta(args.fasta)  # a generator: nothing is read yet
     if args.window:
+        from .pipeline import iter_windows
+
         seqs = iter_windows(seqs, args.window)
     vocab = Vocabulary.load(args.vocab)
     spec = TokenizerSpec(vocab, n_mode=args.n_mode, add_sentinels=args.sentinels)
-    with _atomic_output(args.out) as tmp, open(tmp, "xb") as out:
+    with atomic_output(args.out) as tmp, open(tmp, "xb") as out:
         for seq in seqs:
             record = {"seq_id": seq.source_id, "ids": tokenize(seq, spec).tolist()}
             out.write((json.dumps(record, separators=(",", ":")) + "\n").encode())
@@ -184,6 +192,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_mask(args, tasks: tuple[str, ...] = ()) -> int:
+    from .pipeline import run_pipeline
+
     result = run_pipeline(_pipeline_config(args, tasks))
     print(f"{result.n_records} records -> {result.out_path} (sha256 {result.output_digest[:16]})")
     return EXIT_OK
@@ -195,6 +205,10 @@ def _cmd_guide(args) -> int:
 
 
 def _cmd_leakage(args) -> int:
+    import dataclasses
+
+    from .leakage import leakage_report, run_leakage
+
     for flag, value in (("--k", args.k), ("--m", args.m)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
@@ -215,13 +229,15 @@ def _cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _record_targets(record) -> np.ndarray:
+def _record_targets(record):
     """A batch record's targets ``m``, ascending and distinct.
 
     The record must hold a list of integer ``input_ids``, and every
     position it names in ``m``, ``m_in`` and ``labels`` must be an index
     of them; anything else is a DataError naming the record.
     """
+    import numpy as np
+
     if not isinstance(record, dict):
         raise DataError(f"batch line holds a JSON {type(record).__name__}, not a record")
     name = record.get("seq_id")
@@ -244,17 +260,27 @@ def _record_targets(record) -> np.ndarray:
 
 
 def _cmd_vocab_stats(args) -> int:
+    from .atomic import atomic_output
+    from .core import Vocabulary
+    from .fasta import read_fasta
+    from .tokenizers import TokenizerSpec
+    from .vocabstats import bucket_tokens, compute_token_stats, load_accuracy_csv, write_stats_csv
+
     vocab = Vocabulary.load(args.vocab)
     spec = TokenizerSpec(vocab, n_mode=args.n_mode)
     accuracy = load_accuracy_csv(args.accuracy, vocab) if args.accuracy else None
     stats = compute_token_stats(read_fasta(args.fasta), spec, accuracy=accuracy)
     buckets = bucket_tokens(stats) if accuracy else None
-    with _atomic_output(args.out) as tmp:
+    with atomic_output(args.out) as tmp:
         write_stats_csv(tmp, stats, buckets)
     return EXIT_OK
 
 
 def _cmd_cull(args) -> int:
+    from .atomic import atomic_output
+    from .core import Vocabulary
+    from .vocabstats import CullSpec, cull_vocab
+
     if args.remove.startswith("@"):
         path = args.remove[1:]
         ids = []
@@ -274,7 +300,7 @@ def _cmd_cull(args) -> int:
     culled, remap = cull_vocab(vocab, CullSpec(frozenset(ids)))
     # the remap is renamed into place first and the vocabulary last, so a
     # run that fails on either file leaves no new vocabulary behind
-    with _atomic_output(args.out) as vocab_tmp, _atomic_output(args.out + ".remap.json") as remap_tmp:
+    with atomic_output(args.out) as vocab_tmp, atomic_output(args.out + ".remap.json") as remap_tmp:
         culled.save(vocab_tmp)
         with open(remap_tmp, "x") as fh:
             json.dump({str(k): v for k, v in sorted(remap.items())}, fh, indent=1)
@@ -283,6 +309,9 @@ def _cmd_cull(args) -> int:
 
 
 def _cmd_benchstats(args) -> int:
+    from .atomic import atomic_output
+    from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
+
     runs = load_runs_csv(args.runs)
     scaling = load_scaling_csv(args.scaling) if args.scaling else ()
     report = criteria_report(
@@ -295,7 +324,7 @@ def _cmd_benchstats(args) -> int:
     print(report.to_table())
     print(f"selected: {', '.join(report.selected) if report.selected else '(none)'}")
     if args.out:
-        with _atomic_output(args.out) as tmp, open(tmp, "x") as fh:
+        with atomic_output(args.out) as tmp, open(tmp, "x") as fh:
             fh.write(report.to_json() + "\n")
     return EXIT_OK
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -27,6 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_output
 from .core import DnaSequence, Vocabulary
 from .errors import ConfigError
 from .guiding import (
@@ -209,30 +209,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
-def _atomic_output(path: str) -> Iterator[str]:
-    """Yield a fresh name beside ``path``, renamed onto it only on success.
-
-    The name shares ``path``'s directory, so the os.replace is atomic; on
-    any exception the temporary file is removed and ``path`` is untouched.
-    """
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = None) -> PipelineResult:
     """Generate the batch file and its manifest.
 
     ``sequences`` defaults to streaming ``cfg.fasta_path``; passing an
-    iterable directly is the library entry point. Both files are written
-    under temporary names beside their targets and renamed into place
-    only when the whole run succeeds; a failed run leaves neither behind.
+    iterable directly is the library entry point, and the manifest's
+    FASTA digest is then null, since no byte of that file reaches the
+    batch. Both files are written under temporary names beside their
+    targets and renamed into place only when the whole run succeeds; a
+    failed run leaves neither behind.
     """
     with open(cfg.vocab_path, "rb") as fh:
         vocab_bytes = fh.read()  # parsed and hashed, so the manifest names the vocabulary used
@@ -246,7 +231,8 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
             raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
         if cfg.mode != MODE_FIXED:
             raise ConfigError("FTM requires fixed-mode masking")
-    if sequences is None:
+    fasta_read = sequences is None
+    if fasta_read:
         from .fasta import read_fasta
 
         sequences = read_fasta(cfg.fasta_path)
@@ -254,7 +240,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     n_records = 0
     # the batch is hashed as it is written, and renamed into place before its manifest
     batch_digest = hashlib.sha256()
-    with _atomic_output(manifest_path) as manifest_tmp, _atomic_output(cfg.out_path) as batch_tmp:
+    with atomic_output(manifest_path) as manifest_tmp, atomic_output(cfg.out_path) as batch_tmp:
         with open(batch_tmp, "xb") as out:
             for ordinal, seq in enumerate(iter_windows(sequences, cfg.window)):
                 line = build_record(seq, ordinal, spec, mask_cfg, cfg)
@@ -268,7 +254,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
             "config": asdict(cfg),
             "inputs": {
                 "vocab": hashlib.sha256(vocab_bytes).hexdigest(),
-                "fasta": _sha256(cfg.fasta_path) if os.path.exists(cfg.fasta_path) else None,
+                "fasta": _sha256(cfg.fasta_path) if fasta_read and os.path.exists(cfg.fasta_path) else None,
             },
             "outputs": {"batch": batch_digest.hexdigest(), "records": n_records},
         }

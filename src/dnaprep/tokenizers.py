@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -576,6 +575,8 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
         s, e = span
         # numpy view, no copy: the heavy ufunc work runs GIL-free
         return _ids_from_codes(codes[s : e + k - 1], spec, 1, any_n, sentinels=False)
+
+    from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
 
     head, tail = _sentinels(spec.vocab, spec.add_sentinels)
     with ThreadPoolExecutor(max_workers=chunks) as pool:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import pickle
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dnaprep
 from dnaprep import (
     DataError,
     ConfigError,
@@ -246,3 +248,57 @@ class TestSerialization:
         toks = ("A", "C", "G", "T", CULL_TOKEN)
         with pytest.raises(DataError):
             Vocabulary(kind="bpe", tokens=toks, specials={"CULL": 4})
+
+
+class TestPackageNamespace:
+    """``dnaprep`` exports the same names as when it imported every submodule eagerly."""
+
+    EXPORTS = {
+        "core": "BPE CULL_TOKEN KMER WORD DnaSequence Vocabulary build_kmer_vocab bpe_vocab_from_merges "
+        "reverse_complement",
+        "errors": "ConfigError ConstraintError DataError DnaPrepError ResourceLimitError",
+        "fasta": "read_fasta",
+        "guiding": "GuidingTargets csp_targets ftm_targets mst_apply sop_transform",
+        "leakage": "LeakageReport candidate_space_size empirical_plan_leakage enumerate_consistent_completions "
+        "leakage_ratio leakage_report masked_run_window max_entropy_ratio",
+        "masking": "MODE_FIXED MODE_FLAWED MaskConfig MaskPlan neighbor_mask select_targets verify_no_leakage",
+        "benchstats": "CriteriaReport RunRecord ScalingRecord criteria_report dataset_sigma ols_fit shapiro_wilk "
+        "stability_filter validity_filter",
+        "pipeline": "PipelineConfig build_record iter_windows run_pipeline",
+        "tokenizers": "N_MODE_AS_UNK N_MODE_DROP N_MODE_SEG TokenizerSpec bpe_encode bpe_train bpe_train_sizes "
+        "decode_ids kmer_tokenize kmer_tokenize_parallel tokenize word_tokenize",
+        "vocabstats": "CullSpec TokenStats bucket_tokens compute_token_stats cull_vocab remap_ids",
+    }
+    NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+    def test_all_is_the_export_list(self):
+        assert len(self.NAMES) == 66
+        assert dnaprep.__all__ == [name for _, name in self.NAMES]
+
+    @pytest.mark.parametrize("module, name", NAMES)
+    def test_each_name_is_its_submodules_object(self, module, name):
+        assert getattr(dnaprep, name) is getattr(importlib.import_module(f"dnaprep.{module}"), name)
+
+    def test_star_import_and_dir_list_every_name(self):
+        namespace = {}
+        exec("from dnaprep import *", namespace)
+        assert {name for name in namespace if name != "__builtins__"} == set(dnaprep.__all__)
+        assert set(dnaprep.__all__) | set(self.EXPORTS) | {"__version__"} <= set(dir(dnaprep))
+
+    def test_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            dnaprep.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from dnaprep import no_such_name", {})
+
+    def test_assignment_routes_calls_until_restored(self, monkeypatch):
+        from dnaprep import pipeline
+
+        monkeypatch.delitem(vars(dnaprep), "run_pipeline", raising=False)  # not yet looked up
+        original = dnaprep.run_pipeline
+        dnaprep.run_pipeline = lambda cfg: ("routed", cfg)
+        try:
+            assert dnaprep.run_pipeline("cfg") == ("routed", "cfg")
+        finally:
+            dnaprep.run_pipeline = original
+        assert dnaprep.run_pipeline is original is pipeline.run_pipeline

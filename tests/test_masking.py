@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -259,13 +260,66 @@ class TestWindowRng:
             assert np.array_equal(select_targets(toks, cfg, ordinal), want)
 
 
-def test_import_leaves_numpy_random_unloaded():
+def _modules_loaded_by(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``import dnaprep, dnaprep.cli`` and ``code``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, dnaprep, dnaprep.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    script = f"import json, sys\nimport dnaprep, dnaprep.cli\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # every submodule is imported: window_rng defers numpy.random to its first call
+    loaded = _modules_loaded_by("from dnaprep import *")
+    assert {"dnaprep.masking", "dnaprep.pipeline"} <= loaded
+    assert sorted(m for m in loaded if m.startswith("numpy.random")) == []
+
+
+_PIPELINE_FREE = ("dnaprep.pipeline", "dnaprep.benchstats", "concurrent.futures")
+_MASK_FREE = ("dnaprep.benchstats", "dnaprep.leakage", "dnaprep.vocabstats", "concurrent.futures")
+_CLI = "from dnaprep.cli import main; d = sys.argv[1]\n"
+
+
+@pytest.mark.parametrize(
+    "code, exactly, absent",
+    [
+        pytest.param("", {"dnaprep", "dnaprep.cli", "dnaprep.errors"}, (), id="import"),
+        pytest.param(
+            "dnaprep.build_kmer_vocab(6)",
+            {"dnaprep", "dnaprep.cli", "dnaprep.errors", "dnaprep.core"},
+            (),
+            id="build_kmer_vocab",
+        ),
+        pytest.param(
+            "assert dnaprep.masking.MODE_FIXED == 'fixed'",
+            {"dnaprep", "dnaprep.cli", "dnaprep.errors", "dnaprep.core", "dnaprep.masking"},
+            (),
+            id="submodule_attribute",
+        ),
+        pytest.param(_CLI + "assert main(['leakage', '--k', '6', '--m', '3']) == 0", None, _PIPELINE_FREE, id="leakage"),
+        pytest.param(
+            _CLI + "assert main(['cull', '--vocab', f'{d}/k3.json', '--remove', '0,5', '--out', f'{d}/c.json']) == 0",
+            None,
+            _PIPELINE_FREE,
+            id="cull",
+        ),
+        pytest.param(
+            _CLI + "assert main(['mask', '--vocab', f'{d}/k3.json', '--fasta', f'{d}/in.fa', '--out', f'{d}/o.jsonl']) == 0",
+            None,
+            _MASK_FREE,
+            id="mask",
+        ),
+    ],
+)
+def test_each_caller_loads_only_the_modules_it_uses(tmp_path, code, exactly, absent):
+    build_kmer_vocab(3).save(tmp_path / "k3.json")
+    (tmp_path / "in.fa").write_text(">a\nACGTACGTTGCANNACGT\n")
+    loaded = _modules_loaded_by(code, str(tmp_path))
+    if exactly is not None:
+        assert {m for m in loaded if m.split(".")[0] == "dnaprep"} == exactly
+    assert [m for m in absent if m in loaded] == []
 
 
 def reference_plan(tokens, targets, k, mode, special_ids, mask_id):

@@ -160,6 +160,16 @@ class TestRunPipeline:
         assert open(vocab3_path, "rb").read() != used
         assert result.manifest["inputs"]["vocab"] == hashlib.sha256(used).hexdigest()
 
+    def test_manifest_names_no_fasta_when_sequences_are_passed(self, tmp_path, vocab3_path):
+        """An unrelated file at fasta_path contributes no byte, so the manifest names no FASTA."""
+        fasta = write_fasta(tmp_path, ">other\nTTTTTTTTTT\n")
+        cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "out.jsonl"))
+        passed = run_pipeline(cfg, [DnaSequence("ACGTACGT", "a")])
+        assert passed.manifest["inputs"]["fasta"] is None
+        assert json.loads(open(passed.manifest_path).read())["inputs"]["fasta"] is None
+        read = run_pipeline(cfg)
+        assert read.manifest["inputs"]["fasta"] == hashlib.sha256(open(fasta, "rb").read()).hexdigest()
+
     def test_fixed_vs_flawed_crafted_diff(self, tmp_path, vocab6_path):
         # 10 bases -> 5 body tokens at k=6; a lone target at position 2
         # makes both modes mask the whole body, so the outputs differ

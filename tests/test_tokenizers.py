@@ -444,7 +444,7 @@ class TestParallel:
                 super().__init__(max_workers)
 
         with mock.patch.object(tokenizers, "_MIN_CHUNK", 10):
-            with mock.patch.object(tokenizers, "ThreadPoolExecutor", Pool):
+            with mock.patch("concurrent.futures.ThreadPoolExecutor", Pool):
                 for n_windows, threads in [(19, 8), (20, 8), (35, 8), (1000, 3), (500, 1)]:
                     bases = ("ACGT" * n_windows)[: n_windows + 2]
                     kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
