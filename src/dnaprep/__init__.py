@@ -15,7 +15,33 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the names the package exports from it
+# The choice lists of vocabulary kinds, N modes, masking modes and guiding
+# tasks, and their members. They live here, where no numpy is imported, so
+# that the CLI parser can offer them without loading a submodule; ``core``,
+# ``tokenizers``, ``masking`` and ``guiding`` import them from here.
+KMER = "kmer"
+WORD = "word"
+BPE = "bpe"
+VOCAB_KINDS = (KMER, WORD, BPE)
+
+N_MODE_AS_UNK = "as_unk"
+N_MODE_DROP = "drop"
+N_MODE_SEG = "seg_n"
+N_MODES = (N_MODE_AS_UNK, N_MODE_DROP, N_MODE_SEG)
+
+MODE_FIXED = "fixed"
+MODE_FLAWED = "flawed"
+MASK_MODES = (MODE_FIXED, MODE_FLAWED)
+
+TASK_FTM = "ftm"
+TASK_MST = "mst"
+TASK_SOP = "sop"
+TASK_CSP = "csp"
+GUIDING_TASKS = (TASK_FTM, TASK_MST, TASK_SOP, TASK_CSP)
+
+# submodule -> the names the package exports from it (the constants above
+# are listed with the submodule that re-exports them, which fixes their
+# place in ``__all__``)
 _EXPORTS = {
     "core": (
         "BPE",

@@ -6,10 +6,10 @@ cull, benchstats. Exit codes: 0 ok, 1 usage error, 2 data error,
 override the corresponding flags when those are left at their defaults;
 a value that is not an integer is a usage error.
 
-Start-up stays flat as commands are added: importing this module loads
-only the standard library and ``dnaprep.errors``, the parser loads the
-modules that hold its choice lists, and each subcommand imports the
-modules it runs when it is dispatched.
+Start-up stays flat as commands are added: importing this module and
+building its parser load only the standard library and ``dnaprep.errors``
+(the choice lists live in the package itself), and each subcommand
+imports the modules it runs when it is dispatched.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import GUIDING_TASKS, KMER, MASK_MODES, MODE_FIXED, N_MODE_AS_UNK, N_MODES, VOCAB_KINDS, WORD, __version__
 from .errors import ConfigError, DataError, DnaPrepError
 
 EXIT_OK = 0
@@ -45,9 +45,6 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
-    from .masking import MASK_MODES, MODE_FIXED
-    from .tokenizers import N_MODE_AS_UNK, N_MODES
-
     sub.add_argument("--vocab", required=True, help="vocabulary JSON file")
     sub.add_argument("--fasta", required=True, help="input FASTA (.gz accepted)")
     sub.add_argument("--out", required=True, help="output JSONL batch file")
@@ -87,16 +84,12 @@ def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]):
 
 
 def build_parser() -> _Parser:
-    from .core import BPE, KMER, WORD
-    from .guiding import GUIDING_TASKS
-    from .tokenizers import N_MODE_AS_UNK, N_MODES
-
     parser = _Parser(prog="dnaprep", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dnaprep {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("build-vocab", parents=[], help="construct a vocabulary file")
-    p.add_argument("--kind", choices=(KMER, WORD, BPE), required=True)
+    p.add_argument("--kind", choices=VOCAB_KINDS, required=True)
     p.add_argument("--k", type=int, help="token width for kmer/word vocabularies")
     p.add_argument("--include-n-tokens", action="store_true")
     p.add_argument("--fasta", help="training corpus (BPE only)")
@@ -153,7 +146,7 @@ def build_parser() -> _Parser:
 
 def _cmd_build_vocab(args) -> int:
     from .atomic import atomic_output
-    from .core import KMER, WORD, build_kmer_vocab
+    from .core import build_kmer_vocab
 
     if args.kind in (KMER, WORD):
         if args.k is None:

@@ -34,15 +34,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import BPE, KMER, VOCAB_KINDS, WORD
 from .errors import ConfigError, DataError
 
 NUCLEOTIDES = "ACGT"
 N_CHAR = "N"
 
-KMER = "kmer"
-WORD = "word"
-BPE = "bpe"
-VOCAB_KINDS = (KMER, WORD, BPE)
 MAX_K = 12  # the widest k-mer: 4**12 values and the specials fit int32 ids
 
 SPECIAL_NAMES = ("CLS", "SEP", "MASK", "PAD", "UNK")

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GUIDING_TASKS, MODE_FIXED, TASK_CSP, TASK_FTM, TASK_MST, TASK_SOP  # noqa: F401 - re-exported
 from .core import Vocabulary
 from .errors import ConfigError
-from .masking import MODE_FIXED, MaskPlan
-
-TASK_FTM = "ftm"
-TASK_MST = "mst"
-TASK_SOP = "sop"
-TASK_CSP = "csp"
-GUIDING_TASKS = (TASK_FTM, TASK_MST, TASK_SOP, TASK_CSP)
+from .masking import MaskPlan
 
 
 @dataclass

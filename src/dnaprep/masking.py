@@ -25,12 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import KMER, MASK_MODES, MODE_FIXED, MODE_FLAWED  # noqa: F401 - re-exported
 from .core import Vocabulary
 from .errors import ConfigError
-
-MODE_FIXED = "fixed"
-MODE_FLAWED = "flawed"
-MASK_MODES = (MODE_FIXED, MODE_FLAWED)
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class MaskConfig:
         """Derive k (1 for word/BPE), the first special id, and the MASK id."""
         if "MASK" not in vocab.specials:
             raise ConfigError("masking requires a MASK special token")
-        k = vocab.k if vocab.kind == "kmer" else 1
+        k = vocab.k if vocab.kind == KMER else 1
         return cls(
             p=p,
             k=k,

@@ -25,26 +25,34 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__
-from .atomic import atomic_output
-from .core import DnaSequence, Vocabulary
-from .errors import ConfigError
-from .guiding import (
+from . import (
     GUIDING_TASKS,
+    MODE_FIXED,
+    N_MODE_AS_UNK,
+    N_MODES,
     TASK_CSP,
     TASK_FTM,
     TASK_MST,
     TASK_SOP,
-    GuidingTargets,
-    csp_targets,
-    ftm_targets,
-    mst_apply,
-    sop_transform,
+    __version__,
 )
-from .masking import MODE_FIXED, MaskConfig, neighbor_mask, select_targets, window_rng
-from .tokenizers import N_MODE_AS_UNK, TokenizerSpec, tokenize
+from .atomic import atomic_output
+from .core import DnaSequence, Vocabulary
+from .errors import ConfigError
+from .guiding import GuidingTargets, csp_targets, ftm_targets, mst_apply, sop_transform
+from .masking import MaskConfig, neighbor_mask, select_targets, window_rng
+from .tokenizers import TokenizerSpec, tokenize
 
 _SOP_STREAM = 1  # sub-stream tag so SOP draws never collide with masking draws
+
+# numeric fields -> the types they take; bool is refused too, so that the manifest echoes a number
+_NUMBER_FIELDS = {
+    "p": (int, float),
+    "master_seed": int,
+    "sop_reverse_prob": (int, float),
+    "window": int,
+    "threads": int,
+}
 
 
 @dataclass(frozen=True)
@@ -65,18 +73,34 @@ class PipelineConfig:
     threads: int = 1  # checked, then unused: windows run serially (see module docstring)
 
     def __post_init__(self) -> None:
+        for name in ("vocab_path", "fasta_path", "out_path"):
+            path = getattr(self, name)
+            if not isinstance(path, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path, got {path!r}")
+            object.__setattr__(self, name, os.fspath(path))
         object.__setattr__(self, "guiding", tuple(self.guiding))
         unknown = [t for t in self.guiding if t not in GUIDING_TASKS]
         if unknown:
             raise ConfigError(f"unknown guiding tasks: {unknown}")
+        if type(self.add_sentinels) is not bool:
+            raise ConfigError(f"add_sentinels must be True or False, got {self.add_sentinels!r}")
+        for name, types in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = "an integer" if types is int else "a real number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if self.n_mode not in N_MODES:
+            raise ConfigError(f"unknown n_mode {self.n_mode!r}")
+        # p, mode and master_seed get the run's masking checks here, before any input is read
+        MaskConfig(p=self.p, mode=self.mode, master_seed=self.master_seed)
+        if TASK_FTM in self.guiding and self.mode != MODE_FIXED:
+            raise ConfigError("FTM requires fixed-mode masking")
         if not 0.0 <= self.sop_reverse_prob <= 1.0:  # NaN fails too
             raise ConfigError(f"sop_reverse_prob must be in [0, 1], got {self.sop_reverse_prob}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -226,11 +250,8 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     mask_cfg = MaskConfig.for_vocab(
         vocab, p=cfg.p, mode=cfg.mode, master_seed=cfg.master_seed
     )
-    if TASK_FTM in cfg.guiding:
-        if mask_cfg.k < 2:
-            raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
-        if cfg.mode != MODE_FIXED:
-            raise ConfigError("FTM requires fixed-mode masking")
+    if TASK_FTM in cfg.guiding and mask_cfg.k < 2:
+        raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
     fasta_read = sequences is None
     if fasta_read:
         from .fasta import read_fasta

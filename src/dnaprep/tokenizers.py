@@ -27,29 +27,23 @@ import heapq
 import re
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import BPE, KMER, N_MODE_AS_UNK, N_MODE_DROP, N_MODE_SEG, N_MODES, WORD
 from .core import (
     BASE_CODES,
-    BPE,
-    KMER,
     MAX_K,
     N_CHAR,
     NUCLEOTIDES,
-    WORD,
     BpeMergeTable,
     DnaSequence,
     Vocabulary,
     bpe_vocab_from_merges,
 )
 from .errors import ConfigError, DataError
-
-N_MODE_AS_UNK = "as_unk"
-N_MODE_DROP = "drop"
-N_MODE_SEG = "seg_n"
-N_MODES = (N_MODE_AS_UNK, N_MODE_DROP, N_MODE_SEG)
 
 _N_CODE = BASE_CODES[ord(N_CHAR)]
 
@@ -97,6 +91,11 @@ _POWERS = 4 ** np.arange(MAX_K, dtype=np.int32)  # 4**j for every k-mer digit j
 _CONVOLVE_MAX = 1024
 _VALUE_BLOCK = 1 << 16  # windows whose values _ids_from_codes builds at once
 
+# Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
+# 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
+# 1 M and 1.18-1.21x with 2 M (6-mers, three medians of repeated calls).
+_MIN_CHUNK = 1 << 20
+
 
 def _kmer_values(codes: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write the base-4 value of every width-k window of ``codes`` to ``out``, N read as T."""
@@ -124,31 +123,23 @@ def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | Non
     return has_n
 
 
-def _ids_from_codes(
-    codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, sentinels: bool
-) -> np.ndarray:
-    """The spec's ids for ``codes`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+def _span_ids(
+    codes: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, first: int, last: int
+) -> int:
+    """Write the ids of windows ``first`` .. ``last - 1`` to ``core`` from ``core[first]`` on; returns how many.
 
-    Ids are written straight into the returned array, between the slots
-    kept for [CLS] and [SEP], a block of ``_VALUE_BLOCK`` windows at a time
-    so that only the output spans the whole input. Drop mode compacts each
-    block's kept windows in place, then shrinks the array to the kept ids.
-    ``any_n`` False promises that ``codes`` hold no N, which skips the
-    N flags (and makes the N mode irrelevant).
+    A block of ``_VALUE_BLOCK`` windows is built at a time, so that only
+    ``core`` spans the whole input. Drop mode compacts each block's kept
+    windows in place, down to the span's previous kept id.
     """
     vocab = spec.vocab
     k, lut = vocab.k, vocab.kmer_value_table
-    head, tail = _sentinels(vocab, sentinels)
-    pad = len(head)
-    m = max(0, codes.size - k + 1) if stride == 1 else codes.size // k
-    out = np.empty(m + 2 * pad, dtype=np.int32)
-    core = out[pad : pad + m]
-    kept = 0
-    for start in range(0, m, _VALUE_BLOCK):
-        stop = min(start + _VALUE_BLOCK, m)
+    kept = first
+    for start in range(first, last, _VALUE_BLOCK):
+        stop = min(start + _VALUE_BLOCK, last)
         vals = core[start:stop]
         if stride == 1:
-            part = codes[start : stop + k - 1]
+            part = codes[start : stop + k - 1]  # a view: the ufunc work runs GIL-free
             _kmer_values(part, k, vals)
         else:
             part = codes[start * k : stop * k]
@@ -165,20 +156,59 @@ def _ids_from_codes(
             kept = stop
             if has_n is not None:
                 vals[has_n] = vocab.unk_id  # every id fits int32 (4**12 + specials)
+    return kept - first
+
+
+def _ids_from_codes(
+    codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, sentinels: bool, threads: int = 1
+) -> np.ndarray:
+    """The spec's ids for ``codes`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+
+    Ids are written straight into the returned array, between the slots
+    kept for [CLS] and [SEP]. The windows are cut into ``threads`` equal
+    spans, or fewer when they hold fewer whole runs of ``_MIN_CHUNK``
+    windows. One span runs on the calling thread; several run on a
+    thread pool, each filling its own slice of the array, and in drop
+    mode each span's kept ids are then moved down next to the previous
+    span's. Drop mode finally shrinks the array to the kept ids.
+    ``any_n`` False promises that ``codes`` hold no N, which skips the
+    N flags (and makes the N mode irrelevant).
+    """
+    vocab = spec.vocab
+    pad = int(sentinels)
+    m = max(0, codes.size - vocab.k + 1) if stride == 1 else codes.size // vocab.k
+    out = np.empty(m + 2 * pad, dtype=np.int32)
+    core = out[pad : pad + m]
+    n_spans = min(threads, m // _MIN_CHUNK)
+    if n_spans < 2:
+        kept = _span_ids(codes, core, spec, stride, any_n, 0, m)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
+
+        bounds = [m * i // n_spans for i in range(n_spans + 1)]
+        with ThreadPoolExecutor(max_workers=n_spans) as pool:
+            counts = list(pool.map(partial(_span_ids, codes, core, spec, stride, any_n), bounds[:-1], bounds[1:]))
+        kept = 0
+        for first, count in zip(bounds, counts):
+            if first != kept:  # a self-copy of a 3 Mbp record's ids would cost milliseconds
+                core[kept : kept + count] = core[first : first + count]  # memmove-like: no temporary
+            kept += count
     if pad:
-        out[0], out[pad + kept] = head[0], tail[0]
+        out[0], out[pad + kept] = vocab.special_id("CLS"), vocab.special_id("SEP")
     if kept < m:
-        del core, vals  # no view of ``out`` may outlive the resize
+        del core  # no view of ``out`` may outlive the resize
         out.resize(kept + 2 * pad, refcheck=False)
     return out
 
 
-def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int) -> np.ndarray:
+def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1) -> np.ndarray:
     if spec.n_mode == N_MODE_SEG:
         return _split_at_n(
             bases, spec, lambda run: _ids_from_codes(_codes(run), spec, stride, any_n=False, sentinels=False)
         )
-    return _ids_from_codes(_codes(bases), spec, stride, any_n=N_CHAR in bases, sentinels=spec.add_sentinels)
+    return _ids_from_codes(
+        _codes(bases), spec, stride, any_n=N_CHAR in bases, sentinels=spec.add_sentinels, threads=threads
+    )
 
 
 def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
@@ -190,6 +220,23 @@ def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
     if spec.vocab.kind != KMER:
         raise ConfigError(f"kmer_tokenize requires a kmer vocabulary, got {spec.vocab.kind}")
     return _fixed_width_ids(seq.bases, spec, stride=1)
+
+
+def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) -> np.ndarray:
+    """Multi-threaded k-mer encoding, byte-identical to the serial path.
+
+    It is :func:`kmer_tokenize` with its windows cut into ``threads``
+    equal spans, or fewer when the sequence holds fewer whole runs of
+    ``_MIN_CHUNK`` windows; each span is encoded on its own thread into
+    its own slice of the one output array, so the ids are held once. A
+    sequence too short for two spans runs on the calling thread, and so
+    does seg_n mode (segmentation is not window-local).
+    """
+    if spec.vocab.kind != KMER:
+        raise ConfigError("parallel encoding is only defined for the kmer tokenizer")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return _fixed_width_ids(seq.bases, spec, stride=1, threads=threads)
 
 
 def word_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
@@ -537,48 +584,3 @@ def decode_ids(ids, vocab: Vocabulary) -> str:
     if outside.any():
         raise DataError(f"id {int(ids[outside][0])} is not in the vocabulary of {len(vocab)} ids")
     return "".join([vocab.tokens[i] for i in ids[ids < vocab.n_nonspecial].tolist()])
-
-
-# -- parallel encoding ---------------------------------------------------------
-
-# Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
-# 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
-# 1 M and 1.18-1.21x with 2 M (6-mers, three medians of repeated calls).
-_MIN_CHUNK = 1 << 20
-
-
-def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) -> np.ndarray:
-    """Chunked multi-threaded k-mer encoding, byte-identical to the serial path.
-
-    The sequence is split into equal window-aligned chunks overlapping by
-    k-1 bases: ``threads`` of them, or fewer when the sequence holds fewer
-    whole spans of ``_MIN_CHUNK`` windows. Each chunk is encoded
-    independently and the results are concatenated in order. A sequence
-    too short for two chunks, and seg_n mode (segmentation is not
-    window-local), take the serial encoder.
-    """
-    if spec.vocab.kind != KMER:
-        raise ConfigError("parallel encoding is only defined for the kmer tokenizer")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    k = spec.vocab.k
-    m = len(seq.bases) - k + 1
-    chunks = min(threads, m // _MIN_CHUNK)
-    if chunks <= 1 or spec.n_mode == N_MODE_SEG:
-        return kmer_tokenize(seq, spec)
-    codes = _codes(seq.bases)
-    any_n = N_CHAR in seq.bases
-    step = -(-m // chunks)
-    bounds = [(s, min(s + step, m)) for s in range(0, m, step)]
-
-    def chunk(span: tuple[int, int]) -> np.ndarray:
-        s, e = span
-        # numpy view, no copy: the heavy ufunc work runs GIL-free
-        return _ids_from_codes(codes[s : e + k - 1], spec, 1, any_n, sentinels=False)
-
-    from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
-
-    head, tail = _sentinels(spec.vocab, spec.add_sentinels)
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        parts = list(pool.map(chunk, bounds))
-    return np.concatenate([np.array(head, dtype=np.int32), *parts, np.array(tail, dtype=np.int32)])

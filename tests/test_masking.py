@@ -311,6 +311,12 @@ _CLI = "from dnaprep.cli import main; d = sys.argv[1]\n"
             _MASK_FREE,
             id="mask",
         ),
+        pytest.param(
+            _CLI + "try:\n    main(['--version'])\nexcept SystemExit as done:\n    assert done.code == 0",
+            {"dnaprep", "dnaprep.cli", "dnaprep.errors"},
+            ("numpy",),
+            id="version",
+        ),
     ],
 )
 def test_each_caller_loads_only_the_modules_it_uses(tmp_path, code, exactly, absent):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,8 +655,12 @@ class TestCli:
                 ["tokenize", "--vocab", "{absent}", "--fasta", "{absent}", "--out", "{out}", "--window", "-5"],
                 "window must be >= 1, got -5",
             ),
+            (
+                ["mask", "--vocab", "{absent}", "--fasta", "{absent}", "--out", "{out}", "--p", "2"],
+                "masking probability must be in [0, 1], got 2.0",
+            ),
         ],
-        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window"],
+        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p"],
     )
     def test_bad_flag_value_is_a_usage_error_before_any_input(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"
@@ -716,6 +722,48 @@ def test_config_fields_cannot_be_assigned(field, value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cfg, field, value)
     assert dataclasses.asdict(cfg) == before
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"vocab_path": None}, "vocab_path must be a path, got None"),
+        ({"fasta_path": 3}, "fasta_path must be a path, got 3"),
+        ({"add_sentinels": "no"}, "add_sentinels must be True or False, got 'no'"),
+        ({"add_sentinels": 1}, "add_sentinels must be True or False, got 1"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"window": 2.5}, "window must be an integer, got 2.5"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"p": "0.1"}, "p must be a real number, got '0.1'"),
+        ({"p": True}, "p must be a real number, got True"),
+        ({"sop_reverse_prob": None}, "sop_reverse_prob must be a real number, got None"),
+        ({"p": 2}, "masking probability must be in [0, 1], got 2"),
+        ({"p": float("nan")}, "masking probability must be in [0, 1], got nan"),
+        ({"mode": "bogus"}, "unknown masking mode 'bogus'"),
+        ({"n_mode": "bogus"}, "unknown n_mode 'bogus'"),
+        ({"mode": "flawed", "guiding": ["ftm"]}, "FTM requires fixed-mode masking"),
+    ],
+    ids=lambda value: ",".join(f"{k}={v!r}" for k, v in value.items()) if isinstance(value, dict) else "rejected",
+)
+def test_config_rejects_a_bad_field_when_it_is_built(fields, message):
+    """Every field is checked before any input is read, so a manifest only echoes values that passed."""
+    from dnaprep import ConfigError
+
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PipelineConfig(**{"vocab_path": "v.json", "fasta_path": "in.fa", "out_path": "out.jsonl", **fields})
+
+
+def test_path_fields_give_the_manifest_of_str_fields(tmp_path, vocab3_path):
+    fasta = write_fasta(tmp_path, ">a\n" + "ACGT" * 300 + "\n")
+    out = str(tmp_path / "o.jsonl")
+    manifests = []
+    for path in (str, Path):
+        result = run_pipeline(PipelineConfig(vocab_path=path(vocab3_path), fasta_path=path(fasta), out_path=path(out)))
+        with open(result.manifest_path, "rb") as fh:
+            manifests.append(fh.read())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[1])["config"]["out_path"] == out
 
 
 def test_build_record_rejects_a_mask_id_outside_the_vocabulary():

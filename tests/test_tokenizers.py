@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnaprep import (
@@ -423,15 +423,26 @@ def test_decode_rejects_ids_outside_the_vocabulary(bad):
 
 
 class TestParallel:
-    @given(st.text(alphabet="ACGTN", max_size=300), st.integers(2, 5), st.integers(1, 40))
-    @settings(max_examples=30)
-    def test_matches_serial(self, bases, threads, min_chunk):
-        # a few-window minimum chunk lets these short inputs split
-        vocab = build_kmer_vocab(3)
-        spec = TokenizerSpec(vocab, add_sentinels=True)
+    @given(
+        st.text(alphabet="ACGTN", max_size=300),
+        st.integers(2, 5),
+        st.integers(1, 12),
+        st.integers(1, 8),
+        st.sampled_from(N_MODES),
+        st.booleans(),
+        st.sampled_from(["kmer", "culled"]),
+    )
+    @example("ACGTNACGTACGTACGTACGTTTTGGGAAACCCNACGTA", 3, 5, 2, "drop", True, "culled")
+    @settings(max_examples=80, deadline=None)
+    def test_matches_serial(self, bases, threads, min_chunk, block, n_mode, sentinels, kind):
+        # a few-window minimum chunk lets these short inputs split, and a
+        # few-window block gives each span several blocks, so that drop-mode
+        # spans compact and move; the culled vocabulary has a value table
+        spec = TokenizerSpec(oracle_vocab(kind, 3), n_mode=n_mode, add_sentinels=sentinels)
         serial = kmer_tokenize(DnaSequence(bases), spec)
         with mock.patch.object(tokenizers, "_MIN_CHUNK", min_chunk):
-            parallel = kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
+            with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
+                parallel = kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
         assert np.array_equal(serial, parallel)
 
     def test_chunks_are_never_shorter_than_the_minimum(self):
@@ -482,16 +493,21 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _two_percent_n(n):
+    """``n`` random bases, 2% of them N, and the number of 6-mer windows holding an N."""
+    rng = np.random.default_rng(1)
+    codes = rng.integers(0, 4, n).astype(np.uint8)
+    codes[rng.random(n) < 0.02] = 4
+    n_windows = int((np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0).sum())
+    return DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii")), n_windows
+
+
 def test_stride_one_tokenize_memory_per_base():
     """``tokenize`` holds the base codes and the ids (with their two
     sentinel slots) and handles each block's N windows in place, in both
     modes; the rest is one block's int32 codes and values."""
-    rng = np.random.default_rng(1)
     n = 1 << 20
-    codes = rng.integers(0, 4, n).astype(np.uint8)
-    codes[rng.random(n) < 0.02] = 4
-    n_windows = int((np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0).sum())
-    seq = DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii"))
+    seq, n_windows = _two_percent_n(n)
     ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
     assert ids.size == n - 3
     assert peak / n < 5.5
@@ -500,6 +516,22 @@ def test_stride_one_tokenize_memory_per_base():
     assert ids.size == n - 3 - n_windows
     assert peak / n < 5.75
     # the dropped windows' slots are given back: the ids own exactly their own bytes
+    assert ids.base is None and ids.nbytes == 4 * ids.size
+
+
+def test_threaded_tokenize_memory_per_base():
+    """Two spans fill the serial encoder's one output array, so threaded
+    encoding stays within the serial bounds: each thread adds one block."""
+    n = 2 * tokenizers._MIN_CHUNK + 5  # exactly two spans' worth of 6-mer windows
+    seq, n_windows = _two_percent_n(n)
+    spec = TokenizerSpec(build_kmer_vocab(6), add_sentinels=True)
+    ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
+    assert ids.size == n - 3
+    assert peak / n < 5.5
+    spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
+    ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
+    assert ids.size == n - 3 - n_windows
+    assert peak / n < 5.75
     assert ids.base is None and ids.nbytes == 4 * ids.size
 
 
