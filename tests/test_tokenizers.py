@@ -521,7 +521,9 @@ def test_stride_one_tokenize_memory_per_base():
 
 def test_threaded_tokenize_memory_per_base():
     """Two spans fill the serial encoder's one output array, so threaded
-    encoding stays within the serial bounds: each thread adds one block."""
+    encoding stays within the serial bounds: each thread adds one block.
+    (This module imports ``concurrent.futures`` itself, so the pool's
+    first import is not part of the peak.)"""
     n = 2 * tokenizers._MIN_CHUNK + 5  # exactly two spans' worth of 6-mer windows
     seq, n_windows = _two_percent_n(n)
     spec = TokenizerSpec(build_kmer_vocab(6), add_sentinels=True)
