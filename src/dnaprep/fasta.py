@@ -5,7 +5,9 @@ at their last newline, so peak memory stays bounded by the longest single
 sequence plus one block. Lowercase bases are uppercased, CRLF endings are
 tolerated, and gzip-compressed files are opened transparently when the
 filename ends in ``.gz``. Any body byte outside A/C/G/T/N aborts with the
-offending line number.
+offending line number. The file is read once: a caller that needs its
+digest passes a hashlib object, which then names the bytes that were
+parsed, even when the path is a pipe.
 
 Bases are validated once, by :class:`DnaSequence`. Only a record it
 rejects is read again line by line, to name the offending line.
@@ -23,10 +25,17 @@ _VALID = b"ACGTN"
 _BLOCK = 1 << 20
 
 
-def read_fasta(path) -> Iterator[DnaSequence]:
-    """Yield validated sequences from a FASTA file in record order."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
+def read_fasta(path, digest=None) -> Iterator[DnaSequence]:
+    """Yield validated sequences from a FASTA file in record order.
+
+    ``digest``, a hashlib object, is updated with every byte read from the
+    file: for ``.gz`` the compressed bytes, so it hashes the file as stored.
+    """
+    with open(path, "rb") as fh:
+        if digest is not None:
+            fh = _Hashed(fh, digest)
+        if str(path).endswith(".gz"):
+            fh = gzip.GzipFile(fileobj=fh, mode="rb")
         record_id: str | None = None
         body_line = 0  # line number of the current record's first body line
         parts: list[bytes] = []
@@ -61,6 +70,19 @@ def read_fasta(path) -> Iterator[DnaSequence]:
                 pos = end
         if record_id is not None:
             yield _record(path, record_id, parts, body_line)
+
+
+class _Hashed:
+    """A binary reader that feeds every byte it reads to ``digest``."""
+
+    def __init__(self, fh, digest) -> None:
+        self._fh = fh
+        self._digest = digest
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._fh.read(size)
+        self._digest.update(data)
+        return data
 
 
 def _line_blocks(fh) -> Iterator[bytes]:

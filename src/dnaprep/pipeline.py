@@ -82,6 +82,8 @@ class PipelineConfig:
         unknown = [t for t in self.guiding if t not in GUIDING_TASKS]
         if unknown:
             raise ConfigError(f"unknown guiding tasks: {unknown}")
+        if len(set(self.guiding)) < len(self.guiding):
+            raise ConfigError(f"guiding tasks must not repeat, got {list(self.guiding)}")
         if type(self.add_sentinels) is not bool:
             raise ConfigError(f"add_sentinels must be True or False, got {self.add_sentinels!r}")
         for name, types in _NUMBER_FIELDS.items():
@@ -225,24 +227,27 @@ def build_record(
     return template % (json.dumps(seq.source_id).encode("ascii"), *fields)
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = None) -> PipelineResult:
     """Generate the batch file and its manifest.
 
     ``sequences`` defaults to streaming ``cfg.fasta_path``; passing an
     iterable directly is the library entry point, and the manifest's
     FASTA digest is then null, since no byte of that file reaches the
-    batch. Both files are written under temporary names beside their
-    targets and renamed into place only when the whole run succeeds; a
-    failed run leaves neither behind.
+    batch. Otherwise the digest is taken from the bytes the reader
+    parsed, so a pipe or a file replaced mid-run is named correctly.
+    Both files are written under temporary names beside their targets
+    and renamed into place only when the whole run succeeds; a failed
+    run leaves neither behind, and neither may be one of the inputs.
     """
+    fasta_read = sequences is None
+    inputs = {os.path.realpath(cfg.vocab_path): "vocab_path"}
+    if fasta_read:
+        inputs[os.path.realpath(cfg.fasta_path)] = "fasta_path"
+    manifest_path = cfg.out_path + ".manifest.json"
+    for path in (cfg.out_path, manifest_path):
+        name = inputs.get(os.path.realpath(path))
+        if name:
+            raise ConfigError(f"output {path!r} is the input {name}; it would be overwritten")
     with open(cfg.vocab_path, "rb") as fh:
         vocab_bytes = fh.read()  # parsed and hashed, so the manifest names the vocabulary used
     vocab = Vocabulary.from_json_bytes(vocab_bytes)
@@ -252,12 +257,12 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     )
     if TASK_FTM in cfg.guiding and mask_cfg.k < 2:
         raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
-    fasta_read = sequences is None
+    fasta_digest = None
     if fasta_read:
-        from .fasta import read_fasta
+        from .fasta import read_fasta  # looked up per call, so a wrapper put on the module is used
 
-        sequences = read_fasta(cfg.fasta_path)
-    manifest_path = cfg.out_path + ".manifest.json"
+        fasta_digest = hashlib.sha256()
+        sequences = read_fasta(cfg.fasta_path, digest=fasta_digest)
     n_records = 0
     # the batch is hashed as it is written, and renamed into place before its manifest
     batch_digest = hashlib.sha256()
@@ -275,7 +280,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
             "config": asdict(cfg),
             "inputs": {
                 "vocab": hashlib.sha256(vocab_bytes).hexdigest(),
-                "fasta": _sha256(cfg.fasta_path) if fasta_read and os.path.exists(cfg.fasta_path) else None,
+                "fasta": fasta_digest.hexdigest() if fasta_digest else None,  # the windows are exhausted
             },
             "outputs": {"batch": batch_digest.hexdigest(), "records": n_records},
         }

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 from unittest import mock
 
 import pytest
@@ -151,10 +152,14 @@ class TestBlockReaderAgainstLineReader:
     def test_same_records(self, tmp_path_factory, text, block):
         path = tmp_path_factory.mktemp("fa") / "in.fa"
         path.write_bytes(text)
+        digest = hashlib.sha256()
         with mock.patch.object(fasta, "_BLOCK", block):
             got = outcome(read_fasta, path)
+            hashed = outcome(lambda p: read_fasta(p, digest=digest), path)
         assert got == outcome(line_reader, path)
         assert got[1] is None
+        assert hashed == got
+        assert digest.hexdigest() == hashlib.sha256(text).hexdigest()
 
     @given(broken_fasta(), st.sampled_from([1, 2, 3, 5, 8, 64, fasta._BLOCK]))
     @settings(max_examples=300, deadline=None)
@@ -163,8 +168,10 @@ class TestBlockReaderAgainstLineReader:
         path.write_bytes(text)
         with mock.patch.object(fasta, "_BLOCK", block):
             got = outcome(read_fasta, path)
+            hashed = outcome(lambda p: read_fasta(p, digest=hashlib.sha256()), path)
         assert got == outcome(line_reader, path)
         assert got[1] is not None
+        assert hashed == got
 
     @pytest.mark.parametrize(
         "text, message",
@@ -180,6 +187,7 @@ class TestBlockReaderAgainstLineReader:
         path = tmp_path / "in.fa"
         path.write_bytes(text)
         for block in (2, fasta._BLOCK):
-            with mock.patch.object(fasta, "_BLOCK", block), pytest.raises(DataError) as exc:
-                list(read_fasta(path))
-            assert str(exc.value) == f"{path}: {message}"
+            for digest in (None, hashlib.sha256()):
+                with mock.patch.object(fasta, "_BLOCK", block), pytest.raises(DataError) as exc:
+                    list(read_fasta(path, digest=digest))
+                assert str(exc.value) == f"{path}: {message}"

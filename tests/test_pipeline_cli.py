@@ -1,7 +1,10 @@
 import dataclasses
+import gzip
 import hashlib
 import json
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,62 @@ class TestRunPipeline:
         assert json.loads(open(passed.manifest_path).read())["inputs"]["fasta"] is None
         read = run_pipeline(cfg)
         assert read.manifest["inputs"]["fasta"] == hashlib.sha256(open(fasta, "rb").read()).hexdigest()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_manifest_fasta_digest_of_a_pipe(self, tmp_path, vocab3_path):
+        """A pipe can be read only once: the digest must come from the bytes the run parsed."""
+        text = b">a\nACGTACGTTGCA\n>b\nTTGCAACG\n"
+        r, w = os.pipe()
+
+        def feed():
+            with open(w, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=f"/dev/fd/{r}", out_path=str(tmp_path / "o.jsonl"))
+            result = run_pipeline(cfg)
+        finally:
+            writer.join()
+            os.close(r)
+        assert result.n_records == 2
+        assert result.manifest["inputs"]["fasta"] == hashlib.sha256(text).hexdigest()
+
+    def test_manifest_fasta_digest_of_a_file_replaced_mid_run(self, tmp_path, vocab3_path, monkeypatch):
+        import dnaprep.fasta
+
+        fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n>b\nTTGCAACG\n")
+        read = open(fasta, "rb").read()
+        other = write_fasta(tmp_path, ">c\nGGGG\n", name="other.fa")
+        real = dnaprep.fasta.read_fasta
+
+        def replacing(*args, **kwargs):
+            records = real(*args, **kwargs)
+            yield next(records)
+            os.replace(other, fasta)
+            yield from records
+
+        monkeypatch.setattr(dnaprep.fasta, "read_fasta", replacing)
+        cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "o.jsonl"))
+        result = run_pipeline(cfg)
+        assert open(fasta, "rb").read() != read
+        assert result.n_records == 2
+        assert result.manifest["inputs"]["fasta"] == hashlib.sha256(read).hexdigest()
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_manifest_fasta_digest_of_a_gz_file_is_of_its_stored_bytes(self, tmp_path, vocab3_path, members):
+        from dnaprep import read_fasta
+
+        texts = [b">a\nACGTACGTTGCA\n", b">b\nTTGCAACG\n"]
+        stored = b"".join(gzip.compress(text) for text in (texts if members == 2 else [b"".join(texts)]))
+        fasta = tmp_path / "in.fa.gz"
+        fasta.write_bytes(stored)
+        digest = hashlib.sha256()
+        assert [s.source_id for s in read_fasta(fasta, digest=digest)] == ["a", "b"]
+        assert digest.hexdigest() == hashlib.sha256(stored).hexdigest()
+        cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "o.jsonl"))
+        assert run_pipeline(cfg).manifest["inputs"]["fasta"] == digest.hexdigest()
 
     def test_fixed_vs_flawed_crafted_diff(self, tmp_path, vocab6_path):
         # 10 bases -> 5 body tokens at k=6; a lone target at position 2
@@ -673,6 +732,32 @@ class TestCli:
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "fasta, vocab, out, written, name",
+        [
+            ("in.fa", "v.json", "in.fa", "in.fa", "fasta_path"),
+            ("in.fa", "v.json", "v.json", "v.json", "vocab_path"),
+            ("in.fa", "v.json", "link/in.fa", "link/in.fa", "fasta_path"),
+            ("in.fa", "v.json", "link/v.json", "link/v.json", "vocab_path"),
+            ("o.manifest.json", "v.json", "o", "o.manifest.json", "fasta_path"),
+            ("in.fa", "o.manifest.json", "o", "o.manifest.json", "vocab_path"),
+        ],
+        ids=["fasta", "vocab", "fasta_link", "vocab_link", "manifest_fasta", "manifest_vocab"],
+    )
+    def test_output_that_is_an_input_is_refused_before_any_input(self, tmp_path, capsys, fasta, vocab, out, written, name):
+        """Neither the batch nor its manifest may replace an input, also under another name."""
+        (tmp_path / fasta).write_text(">a\nACGTACGTTGCA\n")
+        build_kmer_vocab(3).save(tmp_path / vocab)
+        (tmp_path / "link").symlink_to(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        argv = ["mask", "--vocab", str(tmp_path / vocab), "--fasta", str(tmp_path / fasta), "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": f"output {str(tmp_path / written)!r} is the input {name}; it would be overwritten",
+        }
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
     def test_bad_line_in_a_cull_id_file_stays_a_data_error(self, tmp_path, vocab3_path, capsys):
         ids = tmp_path / "ids.txt"
         ids.write_text("1\nabc\n")
@@ -743,6 +828,7 @@ def test_config_fields_cannot_be_assigned(field, value):
         ({"mode": "bogus"}, "unknown masking mode 'bogus'"),
         ({"n_mode": "bogus"}, "unknown n_mode 'bogus'"),
         ({"mode": "flawed", "guiding": ["ftm"]}, "FTM requires fixed-mode masking"),
+        ({"guiding": ["csp", "sop", "csp"]}, "guiding tasks must not repeat, got ['csp', 'sop', 'csp']"),
     ],
     ids=lambda value: ",".join(f"{k}={v!r}" for k, v in value.items()) if isinstance(value, dict) else "rejected",
 )
