@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
+
+from .errors import ConfigError
+
+
+def refuse_input_overwrite(outputs: Iterable[str], inputs: Mapping[str, str | None]) -> None:
+    """Raise ConfigError when an output names one of ``inputs`` (name -> path; None is skipped).
+
+    Paths are compared after resolving links, so another name for an
+    input is caught too. Call it before any input is read.
+    """
+    named = {os.path.realpath(path): name for name, path in inputs.items() if path}
+    for path in outputs:
+        name = named.get(os.path.realpath(path))
+        if name:
+            raise ConfigError(f"output {path!r} is the input {name}; it would be overwritten")
 
 
 @contextmanager

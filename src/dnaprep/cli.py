@@ -145,9 +145,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_build_vocab(args) -> int:
-    from .atomic import atomic_output
+    from .atomic import atomic_output, refuse_input_overwrite
     from .core import build_kmer_vocab
 
+    refuse_input_overwrite([args.out], {"--fasta": args.fasta})
     if args.kind in (KMER, WORD):
         if args.k is None:
             raise ConfigError("--k is required for kmer/word vocabularies")
@@ -165,11 +166,12 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    from .atomic import atomic_output
+    from .atomic import atomic_output, refuse_input_overwrite
     from .core import Vocabulary
     from .fasta import read_fasta
     from .tokenizers import TokenizerSpec, tokenize
 
+    refuse_input_overwrite([args.out], {"--vocab": args.vocab, "--fasta": args.fasta})
     seqs = read_fasta(args.fasta)  # a generator: nothing is read yet
     if args.window:
         from .pipeline import iter_windows
@@ -253,12 +255,13 @@ def _record_targets(record):
 
 
 def _cmd_vocab_stats(args) -> int:
-    from .atomic import atomic_output
+    from .atomic import atomic_output, refuse_input_overwrite
     from .core import Vocabulary
     from .fasta import read_fasta
     from .tokenizers import TokenizerSpec
     from .vocabstats import bucket_tokens, compute_token_stats, load_accuracy_csv, write_stats_csv
 
+    refuse_input_overwrite([args.out], {"--vocab": args.vocab, "--fasta": args.fasta, "--accuracy": args.accuracy})
     vocab = Vocabulary.load(args.vocab)
     spec = TokenizerSpec(vocab, n_mode=args.n_mode)
     accuracy = load_accuracy_csv(args.accuracy, vocab) if args.accuracy else None
@@ -270,20 +273,21 @@ def _cmd_vocab_stats(args) -> int:
 
 
 def _cmd_cull(args) -> int:
-    from .atomic import atomic_output
+    from .atomic import atomic_output, refuse_input_overwrite
     from .core import Vocabulary
     from .vocabstats import CullSpec, cull_vocab
 
-    if args.remove.startswith("@"):
-        path = args.remove[1:]
+    id_file = args.remove[1:] if args.remove.startswith("@") else None
+    refuse_input_overwrite([args.out, args.out + ".remap.json"], {"--vocab": args.vocab, "--remove": id_file})
+    if id_file:
         ids = []
-        with open(path) as fh:
+        with open(id_file) as fh:
             for line_no, line in enumerate(fh, 1):
                 if line.strip():
                     try:
                         ids.append(int(line))
                     except ValueError:
-                        raise DataError(f"{path}: line {line_no}: not a token id: {line.strip()!r}") from None
+                        raise DataError(f"{id_file}: line {line_no}: not a token id: {line.strip()!r}") from None
     else:
         try:
             ids = [int(part) for part in args.remove.split(",") if part.strip()]
@@ -302,9 +306,11 @@ def _cmd_cull(args) -> int:
 
 
 def _cmd_benchstats(args) -> int:
-    from .atomic import atomic_output
+    from .atomic import atomic_output, refuse_input_overwrite
     from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
 
+    if args.out:
+        refuse_input_overwrite([args.out], {"--runs": args.runs, "--scaling": args.scaling})
     runs = load_runs_csv(args.runs)
     scaling = load_scaling_csv(args.scaling) if args.scaling else ()
     report = criteria_report(

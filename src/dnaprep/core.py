@@ -227,15 +227,34 @@ class Vocabulary:
 
     @functools.cached_property
     def rc_labels(self) -> np.ndarray:
-        """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements). Read-only."""
+        """``rc_label(i)`` for every id, -1 where it raises (special ids, missing complements). Read-only.
+
+        A k-mer of A, C, G and T is complemented by arithmetic on its base-4
+        value, and the result found among the vocabulary's k-mer values by a
+        sorted search, so no table of 4**k entries is made. Every other token
+        ([CULL], N runs) is looked up by its reverse-complement string.
+        """
         n = self.n_nonspecial
         lut = np.full(len(self.tokens), -1, dtype=np.int32)
         if self.kind == BPE:
             lut[:n] = np.arange(n)
         else:
-            to_id = self._token_to_id.get
             fill = -1 if self.cull_id is None else self.cull_id
-            lut[:n] = [to_id(rc_string(token), fill) for token in self.tokens[:n]]
+            lut[:n] = fill
+            ids, values = _pure_kmers(self.tokens[:n], self.k)
+            rc, digits = np.zeros_like(values), values
+            for _ in range(self.k):  # complement each digit, last digit first
+                rc = rc << 2 | 3 - (digits & 3)
+                digits = digits >> 2
+            order = values.argsort()
+            found = order[np.searchsorted(values, rc, sorter=order).clip(max=values.size - 1)]
+            hit = values[found] == rc
+            lut[ids[hit]] = ids[found[hit]]
+            rest = np.ones(n, dtype=bool)
+            rest[ids] = False
+            to_id = self._token_to_id.get
+            for i in rest.nonzero()[0].tolist():
+                lut[i] = to_id(rc_string(self.tokens[i]), fill)
         lut.flags.writeable = False
         return lut
 

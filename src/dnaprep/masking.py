@@ -121,16 +121,18 @@ class MaskPlan:
 
 
 def _cover(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Positions within [c+lo, c+hi] of any position c set in ``mask``."""
-    if not mask.size:
-        return mask.copy()
-    # hits[j] is set when some c in [j - (hi - lo), j] is set; i needs c in [i - hi, i - lo]
-    hits = np.convolve(mask, np.ones(hi - lo + 1, dtype=bool))
-    start = -lo
-    if start < 0:
-        hits = np.concatenate((np.zeros(-start, dtype=bool), hits))
-        start = 0
-    return hits[start : start + mask.size]
+    """Positions within [c+lo, c+hi] of any position c set in ``mask``; needs ``lo <= hi``."""
+    n, width = mask.size, hi - lo + 1
+    # hits[j] = mask[j - hi], zero outside it; position i needs any of hits[i : i + width]
+    hits = np.zeros(n + width - 1, dtype=bool)
+    first, stop = max(hi, 0), min(n + hi, hits.size)
+    if first < stop:
+        hits[first:stop] = mask[first - hi : stop - hi]
+    span = 1  # hits[j] holds the OR of the span entries from j; double the span while it fits
+    while 2 * span <= width:
+        hits = hits[:-span] | hits[span:]
+        span *= 2
+    return hits[:n] | hits[width - span : width - span + n]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -256,13 +258,14 @@ def neighbor_mask(tokens, m_positions, cfg: MaskConfig) -> MaskPlan:
     """Expand targets to their overlap neighborhood and build the plan."""
     tokens = np.asarray(tokens)
     special = tokens >= cfg.first_special_id
+    plain = ~special
     target = np.zeros(tokens.size, dtype=bool)
     target[np.asarray(m_positions, dtype=np.intp)] = True
-    target &= ~special
+    target &= plain
     k = cfg.k
 
     if cfg.mode == MODE_FIXED:
-        in_mask = _cover(target, -(k - 1), k - 1) & ~special
+        in_mask = _cover(target, -(k - 1), k - 1) & plain
         masked = in_mask
         label_mask = target
     else:

@@ -21,6 +21,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii  # json.dumps of a str, without its per-call set-up
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,7 +38,7 @@ from . import (
     TASK_SOP,
     __version__,
 )
-from .atomic import atomic_output
+from .atomic import atomic_output, refuse_input_overwrite
 from .core import DnaSequence, Vocabulary
 from .errors import ConfigError
 from .guiding import GuidingTargets, csp_targets, ftm_targets, mst_apply, sop_transform
@@ -131,34 +133,58 @@ def _windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequence]:
             yield DnaSequence(piece, source_id=f"{seq.source_id}:{start}-{start + len(piece)}")
 
 
-_SEP = b";"  # the separator row's text; no field text holds it
+_FIELD = b"\0"  # where a field's values go in a line template; no literal text holds it
+_WRITE_BUFFER = 1 << 18  # bytes the batch file buffers between writes
+
+
+def _line_template(tasks: tuple[str, ...], sop_label: int) -> bytes:
+    """A line's text after its seq_id, with ``_FIELD`` where each list of values goes."""
+    entries = []
+    for task in GUIDING_TASKS:  # the fixed entry order, whatever the order of ``tasks``
+        if task == TASK_SOP and task in tasks:
+            entries.append(b'{"task":"%s","label":%d}' % (task.encode(), sop_label))
+        elif task in tasks:
+            entries.append(b'{"task":"%s","positions":[\0],"labels":{\0}}' % task.encode())
+    return b',"input_ids":[\0],"m_in":[\0],"m":[\0],"labels":{\0},"guiding":[' + b",".join(entries) + b"]}\n"
 
 
 @lru_cache(maxsize=4)
-def _text_table(size: int) -> np.ndarray:
-    """The line encoder's text rows, NUL-padded to a multiple of 8 bytes.
+def _line_table(size: int, tasks: tuple[str, ...]) -> tuple[np.ndarray, tuple[list[np.ndarray], ...]]:
+    """The line encoder's text rows, NUL-padded to a multiple of 8 bytes, and its literal rows.
 
-    Row ``v`` holds ``v,`` and row ``size + v`` holds ``"v":`` for every
-    ``v`` below ``size``; row ``2 * size`` is the separator. Digits are
-    written at a fixed width, with NULs for leading zeros, so every row is
-    made by array arithmetic; the encoder deletes the NULs. Rows are
-    returned as uint64 words, which numpy gathers far faster than bytes.
+    For every ``v`` below ``size``, row ``v`` holds ``v,``, row
+    ``size + v`` holds ``"v":`` and row ``2 * size + v`` holds ``v``, a
+    list's last value. Digits are written at a fixed width, with NULs for
+    leading zeros, so every row is made by array arithmetic; the encoder
+    deletes the NULs. After them come the literal texts between the
+    fields of the line template for ``tasks``, cut into rows; the second
+    value returned holds, per SOP label, the row ids of each literal.
+    Rows are uint64 words, which numpy gathers far faster than bytes.
     """
     digits = len(str(size - 1))
+    width = -(-(digits + 3) // 8) * 8
     values = np.arange(size)
-    table = np.zeros((2 * size + 1, -(-(digits + 3) // 8) * 8), dtype=np.uint8)
-    items, keys = table[:size], table[size : 2 * size]
+    numbers = np.zeros((3, size, width), dtype=np.uint8)
+    items, keys, lasts = numbers
     for col in range(digits):
         place = 10 ** (digits - 1 - col)
         digit = values // place % 10 + ord("0")
         if place > 1:
             digit[values < place] = 0
-        items[:, col] = keys[:, col + 1] = digit
+        items[:, col] = keys[:, col + 1] = lasts[:, col] = digit
     items[:, digits] = ord(",")
     keys[:, 0] = keys[:, digits + 1] = ord('"')
     keys[:, digits + 2] = ord(":")
-    table[2 * size, 0] = _SEP[0]
-    return table.view(np.uint64)
+    rows, n_rows, literals = [numbers.reshape(-1, width)], 3 * size, []
+    for sop_label in (0, 1):
+        gaps = []
+        for text in _line_template(tasks, sop_label).split(_FIELD):
+            text = np.frombuffer(text.ljust(-(-len(text) // width) * width, b"\0"), dtype=np.uint8)
+            rows.append(text.reshape(-1, width))
+            gaps.append(np.arange(n_rows, n_rows + len(rows[-1])))
+            n_rows += len(rows[-1])
+        literals.append(gaps)
+    return np.concatenate(rows).view(np.uint64), tuple(literals)
 
 
 def build_record(
@@ -172,7 +198,7 @@ def build_record(
     if not 0 <= mask_cfg.mask_id < len(spec.vocab):
         raise ConfigError(f"MASK id {mask_cfg.mask_id} is not in the vocabulary")
     ids = tokenize(seq, spec)
-    sop_label = None
+    sop_label = 0
     if TASK_SOP in cfg.guiding:
         rng = window_rng(cfg.master_seed, ordinal, _SOP_STREAM)
         ids, sop_label = sop_transform(ids, cfg.sop_reverse_prob, rng, first_special_id=mask_cfg.first_special_id)
@@ -182,49 +208,45 @@ def build_record(
     # len(vocab); the position bound is rounded up so that windows of any
     # length share one table.
     size = max(len(spec.vocab), 1 << (ids.size - 1).bit_length())
-    sep = np.array([2 * size])
-    rows: list[np.ndarray] = []
-
-    def add_field(values: np.ndarray) -> None:
-        rows.extend((values, sep))
-
-    def add_labels(positions: np.ndarray, values: np.ndarray) -> None:
-        pairs = np.empty(2 * positions.size, dtype=np.int64)
-        pairs[0::2] = positions + size
-        pairs[1::2] = values
-        add_field(pairs)
-
-    labeled = plan.label_mask.nonzero()[0]
-    add_field(plan.in_mask.nonzero()[0])
-    add_field(plan.target_mask.nonzero()[0])
-    add_labels(labeled, plan.original_ids[labeled])
+    table, literals = _line_table(size, cfg.guiding)
+    m_in = plan.in_mask.nonzero()[0]
+    m = plan.target_mask.nonzero()[0]
+    labeled = m if plan.mode == MODE_FIXED else m_in  # the label mask (see MaskPlan)
     input_ids = plan.input_ids
-    guiding: list[bytes] = []
-
-    def attach(task: GuidingTargets) -> None:
-        guiding.append(b'{"task":"%s","positions":[%%s],"labels":{%%s}}' % task.task.encode())
-        add_field(task.position_array)
-        add_labels(task.position_array, task.label_array)
-
+    tasks: list[GuidingTargets] = []
     if TASK_FTM in cfg.guiding:
-        attach(ftm_targets(plan))
+        tasks.append(ftm_targets(plan))
     if TASK_MST in cfg.guiding:
         input_ids, mst = mst_apply(ids, plan)
-        attach(mst)
-    if sop_label is not None:
-        guiding.append(b'{"task":"%s","label":%d}' % (TASK_SOP.encode(), sop_label))
+        tasks.append(mst)
     if TASK_CSP in cfg.guiding:
-        attach(csp_targets(plan, spec.vocab))
-    # input_ids leads the line but is final only after MST
-    text = np.take(_text_table(size), np.concatenate([input_ids, sep, *rows]), axis=0)
-    text = text.tobytes().translate(None, b"\0")
-    fields = [part[:-1] for part in text.split(_SEP)[:-1]]
-    template = (
-        b'{"seq_id":%s,"input_ids":[%s],"m_in":[%s],"m":[%s],"labels":{%s},"guiding":['
-        + b",".join(guiding)
-        + b"]}\n"
-    )
-    return template % (json.dumps(seq.source_id).encode("ascii"), *fields)
+        tasks.append(csp_targets(plan, spec.vocab))
+    # every labels object as (key row, value) pairs in one array
+    keys, values = [labeled], [plan.original_ids[labeled]]
+    for task in tasks:
+        keys.append(task.position_array)
+        values.append(task.label_array)
+    counts = [len(positions) for positions in keys]
+    pairs = np.empty((sum(counts), 2), dtype=np.int64)
+    np.concatenate(keys, out=pairs[:, 0])
+    np.concatenate(values, out=pairs[:, 1])
+    pairs[:, 0] += size
+    pairs = pairs.ravel()
+    start = 2 * counts[0]
+    fields = [input_ids, m_in, m, pairs[:start]]
+    for task, count in zip(tasks, counts[1:]):
+        fields += task.position_array, pairs[start : start + 2 * count]
+        start += 2 * count
+    parts = [None] * (2 * len(fields) + 1)  # literal, field, literal, ..., literal
+    parts[::2] = literals[sop_label]
+    parts[1::2] = fields
+    index = np.concatenate(parts)
+    ends = list(accumulate(map(len, parts)))
+    for end, field in zip(ends[1::2], fields):
+        if len(field):
+            index[end - 1] += 2 * size  # a list's last value takes its comma-free row
+    text = table.take(index, axis=0).tobytes().translate(None, b"\0")
+    return b'{"seq_id":' + encode_basestring_ascii(seq.source_id).encode("ascii") + text
 
 
 def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = None) -> PipelineResult:
@@ -240,14 +262,9 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     run leaves neither behind, and neither may be one of the inputs.
     """
     fasta_read = sequences is None
-    inputs = {os.path.realpath(cfg.vocab_path): "vocab_path"}
-    if fasta_read:
-        inputs[os.path.realpath(cfg.fasta_path)] = "fasta_path"
     manifest_path = cfg.out_path + ".manifest.json"
-    for path in (cfg.out_path, manifest_path):
-        name = inputs.get(os.path.realpath(path))
-        if name:
-            raise ConfigError(f"output {path!r} is the input {name}; it would be overwritten")
+    inputs = {"vocab_path": cfg.vocab_path, "fasta_path": cfg.fasta_path if fasta_read else None}
+    refuse_input_overwrite((cfg.out_path, manifest_path), inputs)
     with open(cfg.vocab_path, "rb") as fh:
         vocab_bytes = fh.read()  # parsed and hashed, so the manifest names the vocabulary used
     vocab = Vocabulary.from_json_bytes(vocab_bytes)
@@ -267,7 +284,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
     # the batch is hashed as it is written, and renamed into place before its manifest
     batch_digest = hashlib.sha256()
     with atomic_output(manifest_path) as manifest_tmp, atomic_output(cfg.out_path) as batch_tmp:
-        with open(batch_tmp, "xb") as out:
+        with open(batch_tmp, "xb", buffering=_WRITE_BUFFER) as out:
             for ordinal, seq in enumerate(iter_windows(sequences, cfg.window)):
                 line = build_record(seq, ordinal, spec, mask_cfg, cfg)
                 out.write(line)

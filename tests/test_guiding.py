@@ -216,6 +216,20 @@ class TestCsp:
         assert all(not V3.is_special(label) for label in got.labels.values())
 
 
+def loop_rc_labels(vocab):
+    """The RC table as a per-token loop: the id of the RC token, else [CULL], else -1; a BPE label is its id."""
+    labels = [-1] * len(vocab)
+    for token_id in range(vocab.n_nonspecial):
+        rc = rc_string(vocab.tokens[token_id])
+        if vocab.kind == "bpe":
+            labels[token_id] = token_id
+        elif rc in vocab:
+            labels[token_id] = vocab.id_of(rc)
+        elif vocab.cull_id is not None:
+            labels[token_id] = vocab.cull_id
+    return labels
+
+
 class TestRcLabelLut:
     """The CSP lookup table against Vocabulary.rc_label, id by id."""
 
@@ -226,14 +240,25 @@ class TestRcLabelLut:
             build_kmer_vocab(3, include_n_tokens=True, kind="word"),
             cull_vocab(build_kmer_vocab(3), CullSpec(frozenset({1, 2, 6})))[0],
             bpe_vocab_from_merges([("A", "C"), ("G", "T"), ("AC", "GT"), ("A", "A")]),
+            *(build_kmer_vocab(k) for k in (1, 2, 3, 5, 6, 7, 8)),
+            build_kmer_vocab(5, include_n_tokens=True),
+            build_kmer_vocab(2, kind="word"),
+            cull_vocab(build_kmer_vocab(5, include_n_tokens=True), CullSpec(frozenset(range(3, 1024, 13))))[0],
+            Vocabulary(
+                kind="kmer",
+                tokens=("AA", "AC", "TT", "GG", "NN", "N", "[CLS]", "[SEP]", "[MASK]", "[PAD]", "[UNK]"),
+                specials={"CLS": 6, "SEP": 7, "MASK": 8, "PAD": 9, "UNK": 10},
+                k=2,
+            ),
         ],
-        ids=["kmer", "word", "culled", "bpe"],
+        ids=[
+            "kmer", "word", "culled", "bpe", "kmer1", "kmer2", "kmer3", "kmer5", "kmer6", "kmer7", "kmer8",
+            "kmer5_n_tokens", "word2", "culled5_n_tokens", "missing_without_cull",
+        ],
     )
     def test_table_equals_rc_label(self, vocab):
-        lut = vocab.rc_labels
-        assert [int(lut[i]) for i in range(vocab.n_nonspecial)] == [
-            vocab.rc_label(i) for i in range(vocab.n_nonspecial)
-        ]
+        """The arithmetic table against the string loop it replaced, kept here as the oracle."""
+        assert vocab.rc_labels.tolist() == loop_rc_labels(vocab)
 
     @pytest.mark.parametrize(
         "vocab",

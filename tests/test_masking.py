@@ -18,6 +18,7 @@ from dnaprep import (
     sop_transform,
     verify_no_leakage,
 )
+from dnaprep.core import MAX_K
 from dnaprep.masking import _RNG_CHUNK, _seed_words, window_rng
 
 V3 = build_kmer_vocab(3)
@@ -347,14 +348,15 @@ def reference_plan(tokens, targets, k, mode, special_ids, mask_id):
 
 class TestNeighborMaskReference:
     @given(
-        st.lists(st.integers(0, 68), max_size=60),
-        st.lists(st.integers(0, 59), max_size=20),
-        st.integers(1, 6),
+        st.lists(st.integers(0, 68), max_size=600),
+        st.lists(st.integers(0, 599), max_size=40),
+        st.integers(1, MAX_K),
         st.sampled_from(["fixed", "flawed"]),
     )
     @settings(max_examples=150)
     def test_matches_position_loop(self, body, picks, k, mode):
-        # ids 64.. are V3's specials, so some positions are special
+        # ids 64.. are V3's specials, so some positions are special; k up to MAX_K and bodies
+        # up to 600 tokens take the cover through every doubling depth, flawed k=1 included
         cfg = MaskConfig(p=0.11, k=k, mode=mode, first_special_id=V3.n_nonspecial, mask_id=V3.mask_id)
         targets = [p for p in picks if p < len(body)]
         plan = neighbor_mask(np.array(body, dtype=np.int64), targets, cfg)

@@ -733,24 +733,55 @@ class TestCli:
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "fasta, vocab, out, written, name",
+        "argv, written, name",
         [
-            ("in.fa", "v.json", "in.fa", "in.fa", "fasta_path"),
-            ("in.fa", "v.json", "v.json", "v.json", "vocab_path"),
-            ("in.fa", "v.json", "link/in.fa", "link/in.fa", "fasta_path"),
-            ("in.fa", "v.json", "link/v.json", "link/v.json", "vocab_path"),
-            ("o.manifest.json", "v.json", "o", "o.manifest.json", "fasta_path"),
-            ("in.fa", "o.manifest.json", "o", "o.manifest.json", "vocab_path"),
+            ("mask --vocab v.json --fasta in.fa --out in.fa", "in.fa", "fasta_path"),
+            ("mask --vocab v.json --fasta in.fa --out v.json", "v.json", "vocab_path"),
+            ("mask --vocab v.json --fasta in.fa --out link/in.fa", "link/in.fa", "fasta_path"),
+            ("mask --vocab v.json --fasta in.fa --out link/v.json", "link/v.json", "vocab_path"),
+            ("mask --vocab v.json --fasta o.manifest.json --out o", "o.manifest.json", "fasta_path"),
+            ("mask --vocab o.manifest.json --fasta in.fa --out o", "o.manifest.json", "vocab_path"),
+            ("guide --tasks csp --vocab v.json --fasta in.fa --out link/in.fa", "link/in.fa", "fasta_path"),
+            ("build-vocab --kind bpe --target-size 8 --fasta in.fa --out in.fa", "in.fa", "--fasta"),
+            ("tokenize --vocab v.json --fasta in.fa --out in.fa", "in.fa", "--fasta"),
+            ("tokenize --vocab v.json --fasta in.fa --out link/v.json", "link/v.json", "--vocab"),
+            ("vocab-stats --vocab v.json --fasta in.fa --out link/in.fa", "link/in.fa", "--fasta"),
+            ("vocab-stats --vocab v.json --fasta in.fa --accuracy acc.csv --out acc.csv", "acc.csv", "--accuracy"),
+            ("cull --vocab v.json --remove 1 --out v.json", "v.json", "--vocab"),
+            ("cull --vocab o.remap.json --remove 1 --out o", "o.remap.json", "--vocab"),
+            ("cull --vocab v.json --remove @ids.txt --out link/ids.txt", "link/ids.txt", "--remove"),
+            ("benchstats --runs runs.csv --out runs.csv", "runs.csv", "--runs"),
+            ("benchstats --runs runs.csv --scaling sc.csv --out link/sc.csv", "link/sc.csv", "--scaling"),
         ],
-        ids=["fasta", "vocab", "fasta_link", "vocab_link", "manifest_fasta", "manifest_vocab"],
+        ids=[
+            "fasta", "vocab", "fasta_link", "vocab_link", "manifest_fasta", "manifest_vocab", "guide_link",
+            "build_vocab_bpe", "tokenize_fasta", "tokenize_vocab_link", "vocab_stats_link", "vocab_stats_accuracy",
+            "cull_vocab", "cull_remap", "cull_id_file_link", "benchstats_runs", "benchstats_scaling_link",
+        ],
     )
-    def test_output_that_is_an_input_is_refused_before_any_input(self, tmp_path, capsys, fasta, vocab, out, written, name):
-        """Neither the batch nor its manifest may replace an input, also under another name."""
-        (tmp_path / fasta).write_text(">a\nACGTACGTTGCA\n")
-        build_kmer_vocab(3).save(tmp_path / vocab)
+    def test_output_that_is_an_input_is_refused_before_any_input(self, tmp_path, capsys, argv, written, name):
+        """No command's output may replace one of its inputs, also under another name."""
+        argv = argv.split()
+        # each input holds what its flag reads, so that without the check the command would run
+        contents = {
+            "--fasta": b">a\nACGTACGTTGCA\n",
+            "--vocab": build_kmer_vocab(3).to_json_bytes(),
+            "--accuracy": b"token_id,accuracy\n0,0.5\n",
+            "--remove": b"1\n",
+            "--runs": b"dataset_id,variant,seed,metric_value\nd1,pretrained,0,1\n",
+            "--scaling": b"dataset_id,pretrain_size,metric_value\nd1,10,1\n",
+        }
+        for flag, value in zip(argv, argv[1:]):
+            if flag in contents and (flag != "--remove" or value.startswith("@")):
+                (tmp_path / value.lstrip("@")).write_bytes(contents[flag])
         (tmp_path / "link").symlink_to(tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-        argv = ["mask", "--vocab", str(tmp_path / vocab), "--fasta", str(tmp_path / fasta), "--out", str(tmp_path / out)]
+        paths = {"--vocab", "--fasta", "--out", "--accuracy", "--runs", "--scaling"}
+        for i, (flag, arg) in enumerate(zip(argv, argv[1:]), 1):
+            if flag == "--remove" and arg.startswith("@"):
+                argv[i] = f"@{tmp_path / arg[1:]}"
+            elif flag in paths:
+                argv[i] = str(tmp_path / arg)
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ConfigError",
