@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -49,8 +48,8 @@ CULL_TOKEN = "[CULL]"
 VOCAB_FORMAT_VERSION = 1
 
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
-_VALID_BYTES = b"ACGTNacgtn"
-_BAD_BYTE_RE = re.compile(b"[^ACGTN]")
+# a valid base byte to its uppercase, every other byte to 0, which no valid sequence holds
+_UPPER_OR_ZERO = bytes(b if chr(b) in "ACGTN" else b - 32 if chr(b) in "acgtn" else 0 for b in range(256))
 BASE_CODES = bytes(NUCLEOTIDES.find(chr(b)) % 5 for b in range(256))  # A, C, G, T -> 0..3, every other byte 4
 _LUT_CHUNK = 1 << 16  # token strings kmer_value_table reads at once
 
@@ -65,14 +64,11 @@ def _validate_bases(text: str) -> str:
         raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise DataError(f"non-ASCII character in sequence at offset {exc.start}") from None
-    if raw.translate(None, delete=_VALID_BYTES):
-        upper = raw.upper()
-        match = _BAD_BYTE_RE.search(upper)
-        assert match is not None
-        raise DataError(
-            f"invalid symbol {bytes([upper[match.start()]])!r} at offset {match.start()}"
-        )
-    return text.upper()
+    raw = raw.translate(_UPPER_OR_ZERO)  # one pass checks and uppercases; rebinding frees the encoded copy
+    bad = raw.find(0)
+    if bad >= 0:
+        raise DataError(f"invalid symbol {text[bad].upper().encode()!r} at offset {bad}")
+    return raw.decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import DnaSequence
 from .errors import DataError
 
 _VALID = b"ACGTN"
+_LF = ord("\n")
 _BLOCK = 1 << 20
 
 
@@ -58,7 +59,12 @@ def read_fasta(path, digest=None) -> Iterator[DnaSequence]:
                     body_line = lineno
                     pos = end + 1
                     continue
-                end = block.find(b"\n>", pos) + 1 or len(block)
+                # the next line that starts with ">": a one-byte find, then a look at the byte before;
+                # a ">" inside a line stays in the body, where _record names its line
+                end = block.find(b">", pos)
+                while end != -1 and block[end - 1] != _LF:
+                    end = block.find(b">", end + 1)
+                end = len(block) if end < 0 else end
                 span = block[pos:end]
                 if record_id is None:
                     if span.strip(b"\r\n"):

@@ -61,6 +61,8 @@ class TokenizerSpec:
     def __post_init__(self) -> None:
         if self.n_mode not in N_MODES:
             raise ConfigError(f"unknown n_mode {self.n_mode!r}")
+        if type(self.add_sentinels) is not bool:
+            raise ConfigError(f"add_sentinels must be True or False, got {self.add_sentinels!r}")
         if self.n_mode == N_MODE_AS_UNK and "UNK" not in self.vocab.specials:
             raise ConfigError("as_unk mode requires an UNK special token")
         if self.add_sentinels and not {"CLS", "SEP"} <= self.vocab.specials.keys():
@@ -81,15 +83,18 @@ def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
     return [vocab.special_id("CLS")], [vocab.special_id("SEP")]
 
 
-_POWERS = 4 ** np.arange(MAX_K, dtype=np.int32)  # 4**j for every k-mer digit j
+_DIGITS = bytes(min(code, 3) for code in BASE_CODES)  # a base's k-mer digit: its code, with N read as T
+_N_BYTE = ord(N_CHAR)
+_WEIGHTS = [4 ** np.arange(k - 1, -1, -1, dtype=np.int32) for k in range(MAX_K + 1)]  # k-mer digit weights
 
 # Inputs up to this many bases get their stride-1 values from one
-# np.convolve; longer ones from a shift-add pass per digit. Timed on a
-# 2-vCPU host, k = 6, convolve vs shift-add:
-# 512 bases 8.3 vs 22.3 us, 1024 14.0 vs 21.9, 2048 30.6 vs 28.7, 4096
-# 43.6 vs 25.2 (k = 3 and k = 12 cross over near 1024 as well).
-_CONVOLVE_MAX = 1024
-_VALUE_BLOCK = 1 << 16  # windows whose values _ids_from_codes builds at once
+# np.correlate; longer ones, and any input cut into thread spans, from a
+# shift-add pass per digit, a block at a time. Timed on a 2-vCPU host, one
+# call with sentinels on an input holding an N, correlate vs blocks at
+# k = 6: 1024 bases 16.7 vs 22.0 us, 2048 23.6 vs 24.6, 3072 29.1 vs 26.6,
+# 4096 36.2 vs 32.0 (k = 3 and k = 12 cross over near 2048 as well).
+_CORRELATE_MAX = 2048
+_VALUE_BLOCK = 1 << 16  # windows whose values _span_ids builds at once
 
 # Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
 # 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
@@ -97,30 +102,57 @@ _VALUE_BLOCK = 1 << 16  # windows whose values _ids_from_codes builds at once
 _MIN_CHUNK = 1 << 20
 
 
+def _n_flags(is_n: np.ndarray, k: int, stride: int, m: int) -> np.ndarray:
+    """Whether each of the ``m`` width-k windows holds an N, from the N positions ``is_n``."""
+    if stride != 1:
+        return is_n.reshape(m, k).any(axis=1)
+    # one in-place OR per digit: ORs that double their span allocate a temporary each pass, and
+    # with them the chrom_k6 memory child's peak read 143.2 MB against 135.5
+    has_n = is_n[:m].copy()
+    for j in range(1, k):
+        has_n |= is_n[j : j + m]
+    return has_n
+
+
+def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndarray:
+    """The stride-1 ids of the ASCII bases ``raw`` in as_unk or drop mode, from one np.correlate.
+
+    With sentinels, ``raw`` gains a base at each end, so that the values
+    come out with a window more at each end: those two slots take [CLS]
+    and [SEP]. The N windows are flagged only when ``raw`` holds an N.
+    """
+    vocab = spec.vocab
+    k = vocab.k
+    if len(raw) < k:
+        head, tail = _sentinels(vocab, sentinels)
+        return np.array(head + tail, dtype=np.int32)
+    if sentinels:
+        raw = b"A%bA" % raw
+    ids = np.correlate(np.frombuffer(raw.translate(_DIGITS), dtype=np.uint8), _WEIGHTS[k])
+    lut = vocab.kmer_value_table
+    if lut is not None:
+        ids = lut.take(ids)
+    if b"N" in raw:
+        has_n = _n_flags(np.frombuffer(raw, dtype=np.uint8) == _N_BYTE, k, 1, ids.size)
+        if spec.n_mode == N_MODE_DROP:
+            if sentinels:
+                has_n[0] = has_n[-1] = False
+            ids = ids[~has_n]
+        else:
+            ids[has_n] = vocab.unk_id
+    if sentinels:
+        ids[0], ids[-1] = vocab.special_id("CLS"), vocab.special_id("SEP")
+    return ids
+
+
 def _kmer_values(codes: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write the base-4 value of every width-k window of ``codes`` to ``out``, N read as T."""
     # 4**12 < 2**31, so int32 holds any k <= 12 window value and every partial sum
     clean = np.minimum(codes, 3, dtype=np.int32)
-    if codes.size <= _CONVOLVE_MAX:
-        out[...] = np.convolve(clean, _POWERS[:k], "valid")
-        return
     out[...] = clean[: out.size]
     for j in range(1, k):
         out <<= 2
         out += clean[j : j + out.size]
-
-
-def _n_flags(codes: np.ndarray, k: int, stride: int, m: int) -> np.ndarray | None:
-    """Whether each of the ``m`` windows of ``codes`` holds an N; None when none does."""
-    n_flags = codes == _N_CODE
-    if not n_flags.any():
-        return None
-    if stride != 1:
-        return n_flags.reshape(m, k).any(axis=1)
-    has_n = n_flags[:m].copy()
-    for j in range(1, k):
-        has_n |= n_flags[j : j + m]
-    return has_n
 
 
 def _span_ids(
@@ -143,10 +175,14 @@ def _span_ids(
             _kmer_values(part, k, vals)
         else:
             part = codes[start * k : stop * k]
-            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _POWERS[k - 1 :: -1], out=vals)
+            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _WEIGHTS[k], out=vals)
         if lut is not None:
-            vals[...] = lut[vals]
-        has_n = _n_flags(part, k, stride, vals.size) if any_n else None
+            lut.take(vals, out=vals)
+        has_n = None
+        if any_n:
+            is_n = part == _N_CODE
+            if is_n.any():
+                has_n = _n_flags(is_n, k, stride, vals.size)
         if spec.n_mode == N_MODE_DROP:
             if has_n is not None:
                 vals = vals[~has_n]
@@ -159,27 +195,36 @@ def _span_ids(
     return kept - first
 
 
-def _ids_from_codes(
-    codes: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, sentinels: bool, threads: int = 1
-) -> np.ndarray:
-    """The spec's ids for ``codes`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1) -> np.ndarray:
+    """The spec's ids for ``bases`` at ``stride``: seg_n mode per N-free run, the other modes at once."""
+    if spec.n_mode == N_MODE_SEG:
+        return _split_at_n(bases, spec, lambda run: _window_ids(run, spec, stride, sentinels=False))
+    return _window_ids(bases, spec, stride, spec.add_sentinels, threads)
 
-    Ids are written straight into the returned array, between the slots
-    kept for [CLS] and [SEP]. The windows are cut into ``threads`` equal
-    spans, or fewer when they hold fewer whole runs of ``_MIN_CHUNK``
-    windows. One span runs on the calling thread; several run on a
-    thread pool, each filling its own slice of the array, and in drop
-    mode each span's kept ids are then moved down next to the previous
-    span's. Drop mode finally shrinks the array to the kept ids.
-    ``any_n`` False promises that ``codes`` hold no N, which skips the
-    N flags (and makes the N mode irrelevant).
+
+def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, threads: int = 1) -> np.ndarray:
+    """The spec's ids for ``bases`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+
+    The windows are cut into ``threads`` equal spans, or fewer when they
+    hold fewer whole runs of ``_MIN_CHUNK`` windows. An input of one span
+    and at most ``_CORRELATE_MAX`` bases at stride 1 takes
+    :func:`_correlated_ids`. Otherwise ids are written straight into the
+    returned array, between the slots kept for [CLS] and [SEP]: one span
+    on the calling thread, several on a thread pool, each filling its own
+    slice of the array, and in drop mode each span's kept ids are then
+    moved down next to the previous span's. Drop mode finally shrinks the
+    array to the kept ids.
     """
     vocab = spec.vocab
+    m = max(0, len(bases) - vocab.k + 1) if stride == 1 else len(bases) // vocab.k
+    n_spans = min(threads, m // _MIN_CHUNK)
+    if stride == 1 and n_spans < 2 and len(bases) <= _CORRELATE_MAX:
+        return _correlated_ids(bases.encode("ascii"), spec, sentinels)
+    codes = _codes(bases)
+    any_n = N_CHAR in bases
     pad = int(sentinels)
-    m = max(0, codes.size - vocab.k + 1) if stride == 1 else codes.size // vocab.k
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
-    n_spans = min(threads, m // _MIN_CHUNK)
     if n_spans < 2:
         kept = _span_ids(codes, core, spec, stride, any_n, 0, m)
     else:
@@ -199,16 +244,6 @@ def _ids_from_codes(
         del core  # no view of ``out`` may outlive the resize
         out.resize(kept + 2 * pad, refcheck=False)
     return out
-
-
-def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1) -> np.ndarray:
-    if spec.n_mode == N_MODE_SEG:
-        return _split_at_n(
-            bases, spec, lambda run: _ids_from_codes(_codes(run), spec, stride, any_n=False, sentinels=False)
-        )
-    return _ids_from_codes(
-        _codes(bases), spec, stride, any_n=N_CHAR in bases, sentinels=spec.add_sentinels, threads=threads
-    )
 
 
 def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dnaprep
@@ -33,6 +33,18 @@ class TestDnaSequence:
     def test_rejects_bad_byte_with_offset(self):
         with pytest.raises(DataError, match=r"b'X' at offset 2"):
             DnaSequence("ACXGT")
+
+    @given(st.text(alphabet=st.sampled_from("ACGTNacgtn") | st.characters(max_codepoint=127), max_size=60))
+    @example("AC\x00GT")
+    def test_matches_a_per_character_check(self, text):
+        """Valid iff every character is one of ACGTN in either case; otherwise the first other one is named."""
+        bad = next((i for i, c in enumerate(text) if c not in "ACGTNacgtn"), None)
+        if bad is None:
+            assert DnaSequence(text).bases == text.upper()
+        else:
+            symbol = bytes([ord(text[bad].upper())])
+            with pytest.raises(DataError, match=re.escape(f"invalid symbol {symbol!r} at offset {bad}")):
+                DnaSequence(text)
 
     def test_rejects_non_ascii(self):
         with pytest.raises(DataError):

@@ -181,6 +181,10 @@ class TestBlockReaderAgainstLineReader:
             (b">a\nAC\n>\nGT\n", "empty FASTA header on line 3"),
             (b"\n\r\nACGT\n>a\nAC\n", "sequence data before any header on line 3"),
             (b">a\nAC\n>b\nAXGT\n", "invalid symbol b'X' on line 4"),
+            # a ">" that does not start a line is a bad base on its own line, not a header
+            (b">a\nAC>GT\n>b\nGT\n", "invalid symbol b'>' on line 2"),
+            (b">a\nAC\nACGT>\n>b\nGT\n", "invalid symbol b'>' on line 3"),
+            (b">a\nAC\nGT\n\nA>>C\n", "invalid symbol b'>' on line 5"),
         ],
     )
     def test_error_messages(self, tmp_path, text, message):

@@ -30,7 +30,7 @@ from dnaprep import (
     word_tokenize,
 )
 from dnaprep import core, tokenizers
-from dnaprep.core import BPE, Vocabulary, _with_specials, bpe_vocab_from_merges
+from dnaprep.core import BPE, MAX_K, Vocabulary, _with_specials, bpe_vocab_from_merges
 from dnaprep.tokenizers import N_MODES
 
 acgt = st.text(alphabet="ACGT", max_size=120)
@@ -244,6 +244,13 @@ class TestSegmentWithN:
             setattr(spec, field, value)
         assert (spec.n_mode, spec.add_sentinels) == ("as_unk", False)
 
+    @pytest.mark.parametrize("value", [2, "no", 1, 0, None, np.True_])
+    def test_add_sentinels_must_be_a_bool(self, value):
+        """A non-bool is refused when the spec is built: 2 once gave ids outside the
+        vocabulary and "no" a bare ValueError inside tokenize."""
+        with pytest.raises(ConfigError, match=re.escape(f"add_sentinels must be True or False, got {value!r}")):
+            TokenizerSpec(build_kmer_vocab(3), add_sentinels=value)
+
 
 class TestBpeTrain:
     def test_spec_trace(self):
@@ -368,6 +375,8 @@ class TestBpeEncode:
             (("UNK",), "as_unk", False),
             (("CLS",), "drop", True),
             (("SEP",), "drop", True),
+            ((), "as_unk", 2),
+            ((), "drop", "no"),
         ],
     )
     def test_rejects_what_the_spec_rejects(self, missing, n_mode, sentinels):
@@ -578,7 +587,7 @@ def reference_ids(vocab, bases, n_mode, sentinels):
 
 @st.composite
 def long_bases(draw, max_size=4096):
-    """Up to 4 kb, across the convolve/shift-add crossover: N-free, with N runs, or N-rich."""
+    """Up to 4 kb, across the correlate/shift-add crossover: N-free, with N runs, or N-rich."""
     n = draw(st.integers(0, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     codes = rng.integers(0, 4, n)
@@ -617,24 +626,51 @@ def identity_vocab(kind, k):
     return vocab
 
 
+_N_LAYOUTS = ["n_free", "n_first", "n_last", "run_below_k", "run_above_k", "all_n", "n_rich"]
+
+
+def _crafted_bases(n, k, layout):
+    """``n`` seeded random bases with the N layout named ``layout``."""
+    rng = np.random.default_rng((n, k, _N_LAYOUTS.index(layout)))
+    codes = rng.integers(0, 4, n)
+    if layout == "n_first":
+        codes[:1] = 4
+    elif layout == "n_last":
+        codes[-1:] = 4
+    elif layout == "run_below_k":
+        codes[n // 3 : n // 3 + max(k - 1, 1)] = 4
+    elif layout == "run_above_k":
+        codes[n // 3 : n // 3 + 2 * k + 1] = 4
+    elif layout == "all_n":
+        codes[:] = 4
+    elif layout == "n_rich":
+        codes[rng.random(n) < 0.3] = 4
+    return "".join("ACGTN"[c] for c in codes)
+
+
+def identity_ids(vocab, bases, stride, n_mode, sentinels):
+    """The ids of a vocabulary whose id of every k-mer is its value: [UNK] or nothing at N windows."""
+    values, has_n = reference_values(bases, vocab.k, stride)
+    ids = [vocab.unk_id if n else v for v, n in zip(values, has_n) if not (n and n_mode == "drop")]
+    return [vocab.special_id("CLS"), *ids, vocab.special_id("SEP")] if sentinels else ids
+
+
 def window_ids(bases, k, stride):
-    """``_ids_from_codes`` in as_unk mode through ``identity_vocab`` and the want list.
+    """``_window_ids`` in as_unk mode through ``identity_vocab`` and the want list.
 
     The ids are the kernel's values with [UNK] at the N windows.
     """
     vocab = identity_vocab("kmer" if stride == 1 else "word", k)
-    spec = TokenizerSpec(vocab)
-    ids = tokenizers._ids_from_codes(tokenizers._codes(bases), spec, stride, any_n=True, sentinels=False)
-    want_vals, want_n = reference_values(bases, k, stride)
-    return ids, [vocab.unk_id if n else v for v, n in zip(want_vals, want_n)]
+    ids = tokenizers._window_ids(bases, TokenizerSpec(vocab), stride, sentinels=False)
+    return ids, identity_ids(vocab, bases, stride, "as_unk", sentinels=False)
 
 
 class TestWindowKernels:
-    @given(long_bases(), st.integers(1, 12), st.sampled_from([tokenizers._CONVOLVE_MAX, 0, 1 << 30]))
+    @given(long_bases(), st.integers(1, 12), st.sampled_from([tokenizers._CORRELATE_MAX, 0, 1 << 30]))
     @settings(max_examples=200, deadline=None)
-    def test_values_match_per_kmer_reference(self, bases, k, convolve_max):
+    def test_values_match_per_kmer_reference(self, bases, k, correlate_max):
         """Both value kernels, forced or chosen by length, against int(kmer, 4)."""
-        with mock.patch.object(tokenizers, "_CONVOLVE_MAX", convolve_max):
+        with mock.patch.object(tokenizers, "_CORRELATE_MAX", correlate_max):
             ids, want = window_ids(bases, k, 1)
         assert ids.dtype == np.int32
         assert ids.tolist() == want
@@ -664,12 +700,56 @@ class TestWindowKernels:
 
     def test_n_free_input_skips_the_flag_pass(self):
         spec = TokenizerSpec(build_kmer_vocab(4), add_sentinels=True)
-        with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
-            ids = tokenize(DnaSequence("ACGTTGCA" * 40), spec)
-        assert ids.size == 320 - 3 + 2
-        with pytest.raises(AssertionError, match="flag pass ran"):
-            with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
-                tokenize(DnaSequence("ACGTNGCA" * 40), spec)
+        for correlate_max in (1 << 30, 0):  # the one-correlate path, then the block path
+            with mock.patch.object(tokenizers, "_CORRELATE_MAX", correlate_max):
+                with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
+                    ids = tokenize(DnaSequence("ACGTTGCA" * 40), spec)
+                assert ids.size == 320 - 3 + 2
+                with pytest.raises(AssertionError, match="flag pass ran"):
+                    with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
+                        tokenize(DnaSequence("ACGTNGCA" * 40), spec)
+
+    # 4**k tokens are too many to build and cull past k = 8
+    @pytest.mark.parametrize(
+        "kind, k", [(kind, k) for kind in ("kmer", "word", "culled") for k in range(1, MAX_K + 1) if kind != "culled" or k <= 8]
+    )
+    def test_crafted_inputs_on_every_path(self, kind, k):
+        """N at either end, N runs shorter and longer than k and all-N input,
+        at lengths below, at and above k and on both sides of each size
+        crossover, through each path that a crossover picks, patched both
+        ways: one correlate or blocks, one block or several, one span or
+        threads."""
+        vocab = oracle_vocab(kind, k) if kind == "culled" else identity_vocab(kind, k)
+        stride = k if kind == "word" else 1
+        block = 3  # windows per block when patched: inputs of block - 1 .. block + 1 windows below
+        lengths = {0, 1, k - 1, k, k + 1, 2 * k, 3 * k + 1, 97}
+        lengths |= {(block + d) * stride + (k - 1 if stride == 1 else 0) for d in (-1, 0, 1)}
+        if stride == 1:
+            lengths |= {tokenizers._CORRELATE_MAX, tokenizers._CORRELATE_MAX + 1}
+        paths = [
+            {"_CORRELATE_MAX": tokenizers._CORRELATE_MAX},  # as shipped
+            {"_CORRELATE_MAX": 1 << 30},
+            {"_CORRELATE_MAX": 0},
+            {"_CORRELATE_MAX": 0, "_VALUE_BLOCK": block},
+        ]
+        for n, layout in itertools.product(sorted(lengths), _N_LAYOUTS):
+            bases = _crafted_bases(n, k, layout)
+            for n_mode, sentinels in itertools.product(["as_unk", "drop"], [False, True]):
+                spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                if kind == "culled":
+                    want = reference_ids(vocab, bases, n_mode, sentinels)
+                else:
+                    want = identity_ids(vocab, bases, stride, n_mode, sentinels)
+                small = n < 100  # blocks of a few windows: a long input would take hundreds
+                for patches in paths if small else paths[:3]:
+                    with mock.patch.multiple(tokenizers, **patches):
+                        ids = tokenize(DnaSequence(bases), spec)
+                    assert ids.dtype == np.int32 and ids.base is None
+                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, patches)
+                if kind != "word" and small:  # spans of one or more windows on three threads, each span in blocks
+                    with mock.patch.multiple(tokenizers, _MIN_CHUNK=1, _VALUE_BLOCK=block):
+                        ids = kmer_tokenize_parallel(DnaSequence(bases), spec, 3)
+                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, "threads")
 
 
 def reference_value_lut(vocab):
