@@ -48,10 +48,13 @@ _EXPORTS = {
         "CULL_TOKEN",
         "KMER",
         "WORD",
+        "CullSpec",
         "DnaSequence",
         "Vocabulary",
         "build_kmer_vocab",
         "bpe_vocab_from_merges",
+        "cull_vocab",
+        "remap_ids",
         "reverse_complement",
     ),
     "errors": ("ConfigError", "ConstraintError", "DataError", "DnaPrepError", "ResourceLimitError"),
@@ -102,14 +105,7 @@ _EXPORTS = {
         "tokenize",
         "word_tokenize",
     ),
-    "vocabstats": (
-        "CullSpec",
-        "TokenStats",
-        "bucket_tokens",
-        "compute_token_stats",
-        "cull_vocab",
-        "remap_ids",
-    ),
+    "vocabstats": ("TokenStats", "bucket_tokens", "compute_token_stats"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_SOURCE)

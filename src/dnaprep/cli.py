@@ -154,7 +154,7 @@ def _cmd_build_vocab(args) -> int:
             raise ConfigError("--k is required for kmer/word vocabularies")
         vocab = build_kmer_vocab(args.k, include_n_tokens=args.include_n_tokens, kind=args.kind)
     else:
-        if not args.fasta or not args.target_size:
+        if not args.fasta or args.target_size is None:
             raise ConfigError("--fasta and --target-size are required for BPE training")
         from .fasta import read_fasta
         from .tokenizers import bpe_train
@@ -274,8 +274,7 @@ def _cmd_vocab_stats(args) -> int:
 
 def _cmd_cull(args) -> int:
     from .atomic import atomic_output, refuse_input_overwrite
-    from .core import Vocabulary
-    from .vocabstats import CullSpec, cull_vocab
+    from .core import CullSpec, Vocabulary, cull_vocab
 
     id_file = args.remove[1:] if args.remove.startswith("@") else None
     refuse_input_overwrite([args.out, args.out + ".remap.json"], {"--vocab": args.vocab, "--remove": id_file})

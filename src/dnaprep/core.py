@@ -1,4 +1,4 @@
-"""Nucleotide sequences, token vocabularies, and reverse-complement machinery.
+"""Nucleotide sequences, token vocabularies, culling, and reverse-complement machinery.
 
 Everything downstream (tokenizers, masking, statistics) is built on the two
 types defined here: :class:`DnaSequence`, a validated uppercase nucleotide
@@ -6,6 +6,12 @@ string, and :class:`Vocabulary`, an ordered token set with special-token
 bookkeeping and the tables built from it: k-mer values, reverse-complement
 labels, the N-run cover and the BPE merge table. :data:`BASE_CODES` is the
 one base-code table: the tokenizers and the k-mer value table read it.
+
+Every vocabulary is built here: k-mer and word sets, BPE sets from their
+merges, and culled sets. :func:`cull_vocab` replaces at most 10% of the
+non-special tokens with one ``[CULL]`` token, and each table gives a token
+the vocabulary lacks the ``[CULL]`` id (-1 without one), so encoding under
+a culled vocabulary differs from the original only where a token was removed.
 
 Conventions fixed here for determinism:
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -34,7 +41,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import BPE, KMER, VOCAB_KINDS, WORD
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ConstraintError, DataError
 
 NUCLEOTIDES = "ACGT"
 N_CHAR = "N"
@@ -44,6 +51,7 @@ MAX_K = 12  # the widest k-mer: 4**12 values and the specials fit int32 ids
 SPECIAL_NAMES = ("CLS", "SEP", "MASK", "PAD", "UNK")
 SPECIAL_TOKENS = {name: f"[{name}]" for name in SPECIAL_NAMES}
 CULL_TOKEN = "[CULL]"
+CULL_FRACTION_MAX = 0.10  # the most of a vocabulary's non-special tokens that culling may remove
 
 VOCAB_FORMAT_VERSION = 1
 
@@ -186,6 +194,11 @@ class Vocabulary:
     def cull_id(self) -> int | None:
         return self._token_to_id.get(CULL_TOKEN)
 
+    @property
+    def _missing_id(self) -> int:
+        """What a table gives a token the vocabulary lacks: the [CULL] id, or -1 without one."""
+        return self._token_to_id.get(CULL_TOKEN, -1)
+
     def id_of(self, token: str) -> int:
         try:
             return self._token_to_id[token]
@@ -235,7 +248,7 @@ class Vocabulary:
         if self.kind == BPE:
             lut[:n] = np.arange(n)
         else:
-            fill = -1 if self.cull_id is None else self.cull_id
+            fill = self._missing_id
             lut[:n] = fill
             ids, values = _pure_kmers(self.tokens[:n], self.k)
             rc, digits = np.zeros_like(values), values
@@ -278,9 +291,9 @@ class Vocabulary:
             return None
         missing = lut < 0
         if missing.any():
-            if self.cull_id is None:
-                raise DataError("vocabulary is missing k-mers and has no [CULL] token")
-            lut[missing] = self.cull_id
+            if self._missing_id < 0:
+                raise DataError(f"vocabulary is missing k-mers and has no {CULL_TOKEN} token")
+            lut[missing] = self._missing_id
         return lut
 
     @functools.cached_property
@@ -295,8 +308,7 @@ class Vocabulary:
         pair_ranks: dict[int, int] = {}
         for rank, (l, r, _) in enumerate(rules):
             pair_ranks.setdefault(l << shift | r, rank)
-        fill = -1 if self.cull_id is None else self.cull_id
-        ids = np.array([self._token_to_id.get(s, fill) for s in space], dtype=np.int32)
+        ids = np.array([self._token_to_id.get(s, self._missing_id) for s in space], dtype=np.int32)
         ids.flags.writeable = False
         return BpeMergeTable(tuple(space), shift, pair_ranks, rules, ids)
 
@@ -380,10 +392,10 @@ _VOCAB_FIELDS = {
 }
 
 
-def _with_specials(tokens: list[str]) -> tuple[tuple[str, ...], dict[str, int]]:
-    base = len(tokens)
-    specials = {name: base + i for i, name in enumerate(SPECIAL_NAMES)}
-    return tuple(tokens + [SPECIAL_TOKENS[n] for n in SPECIAL_NAMES]), specials
+def _with_specials(tokens: list[str], names=SPECIAL_NAMES) -> tuple[tuple[str, ...], dict[str, int]]:
+    """``tokens`` followed by the special tokens ``names``, in order, and the specials' ids."""
+    specials = {name: len(tokens) + i for i, name in enumerate(names)}
+    return tuple(tokens + [SPECIAL_TOKENS[n] for n in names]), specials
 
 
 def build_kmer_vocab(k: int, include_n_tokens: bool = False, kind: str = KMER) -> Vocabulary:
@@ -423,3 +435,67 @@ def bpe_vocab_from_merges(merges) -> Vocabulary:
             toks.append(out)
     tokens, specials = _with_specials(toks)
     return Vocabulary(kind=BPE, tokens=tokens, specials=specials, merges=tuple(pairs))
+
+
+# -- culling ---------------------------------------------------------------------
+
+
+def _token_id(value) -> int:
+    """``value`` as an int id: an integer, numpy's included, but not a bool; anything else is a ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"cull ids must be integers, got {value!r}")
+
+
+@dataclass(frozen=True)
+class CullSpec:
+    """Which non-special ids to prune; the [CULL] id is assigned on culling."""
+
+    remove_ids: frozenset[int] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "remove_ids", frozenset(map(_token_id, self.remove_ids)))
+
+
+def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int, int]]:
+    """Remove tokens and append [CULL]; returns (culled vocab, id remap).
+
+    The remap sends every old id to the id of the same token string in the
+    culled vocabulary, and every removed id to the [CULL] id. Removal is
+    capped at 10% of the non-special vocabulary; special ids cannot be removed.
+    """
+    if CULL_TOKEN in vocab:
+        raise DataError(f"vocabulary already contains a {CULL_TOKEN} token")
+    out_of_range = [i for i in spec.remove_ids if not 0 <= i < len(vocab)]
+    if out_of_range:
+        raise ValueError(f"cull ids out of range: {sorted(out_of_range)}")
+    specials_hit = [i for i in spec.remove_ids if vocab.is_special(i)]
+    if specials_hit:
+        raise ValueError(f"cannot cull special token ids: {sorted(specials_hit)}")
+    if len(spec.remove_ids) > CULL_FRACTION_MAX * vocab.n_nonspecial:
+        raise ConstraintError(
+            f"removing {len(spec.remove_ids)} of {vocab.n_nonspecial} non-special tokens "
+            f"exceeds the {CULL_FRACTION_MAX:.0%} bound"
+        )
+    kept = [t for i, t in enumerate(vocab.tokens[: vocab.n_nonspecial]) if i not in spec.remove_ids]
+    tokens, specials = _with_specials(kept + [CULL_TOKEN], vocab.specials)
+    culled = Vocabulary(vocab.kind, tokens, specials, vocab.k, vocab.merges)
+    remap = {old: culled._token_to_id.get(token, culled.cull_id) for old, token in enumerate(vocab.tokens)}
+    return culled, remap
+
+
+def remap_ids(ids, remap: dict[int, int]) -> np.ndarray:
+    """Apply a cull remap to an id array; an id the remap does not cover is a DataError naming it."""
+    ids = np.asarray(ids, dtype=np.int64)
+    table = np.full(max(remap) + 1, -1, dtype=np.int64)
+    table[list(remap)] = list(remap.values())
+    outside = (ids < 0) | (ids >= table.size)
+    if outside.any():
+        raise DataError(f"id {int(ids[outside][0])} is not in the vocabulary of {table.size} ids")
+    out = table[ids]
+    if (out < 0).any():
+        raise DataError(f"id {int(ids[out < 0][0])} has no remap entry")
+    return out

@@ -1,30 +1,24 @@
-"""Token frequency and entropy analytics, importance bucketing, and culling.
+"""Token frequency and entropy analytics, importance bucketing, and the stats CSV.
 
 Frequencies are exact counts over the tokenized corpus; the successor
 distribution (and its Shannon entropy, in bits) is computed within
 sequences only, never across record boundaries. Per-token prediction
 accuracies are consumed from an external file -- this toolkit never
-computes them.
-
-Culling replaces a set of non-special tokens with a single ``[CULL]``
-token. The removal set is capped at 10% of the non-special vocabulary,
-and encoding under the culled vocabulary differs from the original
-encoding only at positions whose token was removed.
+computes them. Culling a vocabulary by these statistics is
+:func:`dnaprep.core.cull_vocab`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CULL_TOKEN, SPECIAL_TOKENS, Vocabulary
-from .errors import ConstraintError, DataError
+from .core import SPECIAL_TOKENS, Vocabulary
+from .errors import DataError
 from .tokenizers import TokenizerSpec, tokenize
-
-CULL_FRACTION_MAX = 0.10
 
 # Successor keys gathered across records before one sort counts them into
 # the table of distinct pairs: the buffer never holds more than this many
@@ -156,17 +150,17 @@ def _merge_pairs(keys: np.ndarray, counts: np.ndarray, buffer: list[np.ndarray])
 
 
 def load_accuracy_csv(path, vocab: Vocabulary) -> dict[int, float]:
-    """Read a token_id,accuracy CSV (header row optional).
+    """Read a token_id,accuracy CSV (a token_id header on line 1 optional).
 
-    A row that is not an integer id and a finite accuracy is a DataError
-    naming its line.
+    Rows whose cells are all blank are skipped. Any other row that is not
+    an integer id and a finite accuracy, or that repeats an id, is a
+    DataError naming its line.
     """
     out: dict[int, float] = {}
-    offenders: list[str] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if not row or row[0].strip().lower() in ("token_id", ""):
+            if not "".join(row).strip() or reader.line_num == 1 and row[0].strip().lower() == "token_id":
                 continue
             try:
                 tid, acc = int(row[0]), float(row[1])
@@ -176,10 +170,10 @@ def load_accuracy_csv(path, vocab: Vocabulary) -> dict[int, float]:
                 ) from None
             if not math.isfinite(acc):
                 raise DataError(f"{path}: line {reader.line_num}: accuracy {row[1].strip()!r} is not finite")
-            if not 0 <= tid < len(vocab):
-                offenders.append(row[0])
-                continue
+            if tid in out:
+                raise DataError(f"{path}: line {reader.line_num}: token id {tid} appears twice")
             out[tid] = acc
+    offenders = [tid for tid in out if not 0 <= tid < len(vocab)]
     if offenders:
         raise DataError(f"accuracy file references unknown token ids: {offenders}")
     return out
@@ -244,75 +238,3 @@ def write_stats_csv(path, stats: list[TokenStats], buckets: dict[int, tuple[str,
                     ab,
                 ]
             )
-
-
-# -- culling ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CullSpec:
-    """Which non-special ids to prune; the [CULL] id is assigned on culling."""
-
-    remove_ids: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "remove_ids", frozenset(int(i) for i in self.remove_ids))
-
-
-def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int, int]]:
-    """Remove tokens and append [CULL]; returns (culled vocab, id remap).
-
-    The remap sends every surviving id to its new id and every removed id
-    to the [CULL] id. Removal is capped at 10% of the non-special
-    vocabulary; special ids cannot be removed.
-    """
-    if CULL_TOKEN in vocab:
-        raise DataError("vocabulary already contains a [CULL] token")
-    out_of_range = [i for i in spec.remove_ids if not 0 <= i < len(vocab)]
-    if out_of_range:
-        raise ValueError(f"cull ids out of range: {sorted(out_of_range)}")
-    specials_hit = [i for i in spec.remove_ids if vocab.is_special(i)]
-    if specials_hit:
-        raise ValueError(f"cannot cull special token ids: {sorted(specials_hit)}")
-    limit = CULL_FRACTION_MAX * vocab.n_nonspecial
-    if len(spec.remove_ids) > limit:
-        raise ConstraintError(
-            f"removing {len(spec.remove_ids)} of {vocab.n_nonspecial} non-special tokens "
-            f"exceeds the {CULL_FRACTION_MAX:.0%} bound"
-        )
-    survivors = [i for i in range(vocab.n_nonspecial) if i not in spec.remove_ids]
-    tokens = [vocab.tokens[i] for i in survivors] + [CULL_TOKEN]
-    cull_id = len(tokens) - 1
-    specials = {}
-    for name in vocab.specials:
-        specials[name] = len(tokens)
-        tokens.append(SPECIAL_TOKENS[name])
-    culled = Vocabulary(
-        kind=vocab.kind,
-        tokens=tuple(tokens),
-        specials=specials,
-        k=vocab.k,
-        merges=vocab.merges,
-    )
-    remap = {old: new for new, old in enumerate(survivors)}
-    for old in spec.remove_ids:
-        remap[old] = cull_id
-    for name, old in vocab.specials.items():
-        remap[old] = specials[name]
-    return culled, remap
-
-
-def remap_ids(ids, remap: dict[int, int]) -> np.ndarray:
-    """Apply a cull remap to an id array; an id the remap does not cover is a DataError naming it."""
-    ids = np.asarray(ids, dtype=np.int64)
-    table = np.full(max(remap) + 1, -1, dtype=np.int64)
-    for old, new in remap.items():
-        table[old] = new
-    outside = (ids < 0) | (ids >= table.size)
-    if outside.any():
-        raise DataError(f"id {int(ids[outside][0])} is not in the vocabulary of {table.size} ids")
-    out = table[ids]
-    if (out < 0).any():
-        bad = ids[out < 0][0]
-        raise DataError(f"id {int(bad)} has no remap entry")
-    return out

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dnaprep import CullSpec, DataError, DnaSequence, bpe_encode, bpe_train, bpe_train_sizes, cull_vocab, remap_ids
 from dnaprep.core import BPE, Vocabulary, _with_specials, bpe_vocab_from_merges
-from dnaprep.vocabstats import CULL_FRACTION_MAX
+from dnaprep.core import CULL_FRACTION_MAX
 
 ALPHABETS = ("ACGT", "AT", "ACGTN", "ATN", "AN")
 

@@ -266,8 +266,8 @@ class TestPackageNamespace:
     """``dnaprep`` exports the same names as when it imported every submodule eagerly."""
 
     EXPORTS = {
-        "core": "BPE CULL_TOKEN KMER WORD DnaSequence Vocabulary build_kmer_vocab bpe_vocab_from_merges "
-        "reverse_complement",
+        "core": "BPE CULL_TOKEN KMER WORD CullSpec DnaSequence Vocabulary build_kmer_vocab bpe_vocab_from_merges "
+        "cull_vocab remap_ids reverse_complement",
         "errors": "ConfigError ConstraintError DataError DnaPrepError ResourceLimitError",
         "fasta": "read_fasta",
         "guiding": "GuidingTargets csp_targets ftm_targets mst_apply sop_transform",
@@ -279,7 +279,7 @@ class TestPackageNamespace:
         "pipeline": "PipelineConfig build_record iter_windows run_pipeline",
         "tokenizers": "N_MODE_AS_UNK N_MODE_DROP N_MODE_SEG TokenizerSpec bpe_encode bpe_train bpe_train_sizes "
         "decode_ids kmer_tokenize kmer_tokenize_parallel tokenize word_tokenize",
-        "vocabstats": "CullSpec TokenStats bucket_tokens compute_token_stats cull_vocab remap_ids",
+        "vocabstats": "TokenStats bucket_tokens compute_token_stats",
     }
     NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 

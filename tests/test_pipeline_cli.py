@@ -589,8 +589,12 @@ class TestCli:
             ("token_id,accuracy\n5\n", "line 2: expected token_id,accuracy, got '5'"),
             ("token_id,accuracy\n0,0.5\n5,nan\n", "line 3: accuracy 'nan' is not finite"),
             ("0,0.5\n5, inf\n", "line 2: accuracy 'inf' is not finite"),
+            ("token_id,accuracy\n,0.5\n", "line 2: expected token_id,accuracy, got ',0.5'"),
+            ("0,0.5\n , \n0,0.9\n", "line 3: token id 0 appears twice"),
+            ("999,0.5\n999,0.6\n", "line 2: token id 999 appears twice"),
+            ("0,0.5\ntoken_id,accuracy\n", "line 2: expected token_id,accuracy, got 'token_id,accuracy'"),
         ],
-        ids=["one_field", "nan", "inf"],
+        ids=["one_field", "nan", "inf", "empty_id", "repeated_id", "repeated_unknown_id", "late_header"],
     )
     def test_malformed_accuracy_csv_is_a_data_error(self, tmp_path, vocab3_path, capsys, text, message):
         accuracy = tmp_path / "acc.csv"
@@ -718,8 +722,12 @@ class TestCli:
                 ["mask", "--vocab", "{absent}", "--fasta", "{absent}", "--out", "{out}", "--p", "2"],
                 "masking probability must be in [0, 1], got 2.0",
             ),
+            (
+                ["build-vocab", "--kind", "bpe", "--fasta", "{absent}", "--target-size", "0", "--out", "{out}"],
+                "target_size must be >= 4 (the base alphabet), got 0",
+            ),
         ],
-        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p"],
+        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p", "bpe_target_size"],
     )
     def test_bad_flag_value_is_a_usage_error_before_any_input(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"

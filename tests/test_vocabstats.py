@@ -27,13 +27,31 @@ from dnaprep import (
     tokenize,
 )
 from dnaprep import vocabstats
-from dnaprep.core import CULL_TOKEN
+from dnaprep.core import CULL_FRACTION_MAX, CULL_TOKEN, SPECIAL_TOKENS, Vocabulary
 from dnaprep.tokenizers import N_MODES
 from dnaprep.vocabstats import write_stats_csv
 from test_tokenizers import bpe_with_n_runs
 
 V1 = build_kmer_vocab(1)
 V3 = build_kmer_vocab(3)
+
+
+def _trained_bpe(size, seed):
+    rng = np.random.default_rng(seed)
+    return bpe_train([DnaSequence("".join(rng.choice(list("ACGT"), size=500))) for _ in range(3)], size)
+
+
+# k-mer, word and trained BPE vocabularies, with and without N-run tokens,
+# and one whose specials are a reordered subset
+CULL_VOCABS = (
+    V3,
+    build_kmer_vocab(4, include_n_tokens=True),
+    build_kmer_vocab(2, include_n_tokens=True, kind="word"),
+    build_kmer_vocab(5, kind="word"),
+    _trained_bpe(60, 0),
+    bpe_with_n_runs(_trained_bpe(120, 1)),
+    Vocabulary("kmer", (*build_kmer_vocab(2).tokens[:16], "[UNK]", "[MASK]"), {"MASK": 17, "UNK": 16}, 2),
+)
 
 
 class TestTokenStats:
@@ -430,6 +448,39 @@ class TestCull:
         _, remap = cull_vocab(V3, CullSpec(frozenset({0})))
         with pytest.raises(DataError, match=f"id {bad} is not in the vocabulary of {len(V3)} ids"):
             remap_ids([0, bad], remap)
+
+    @pytest.mark.parametrize(
+        "bad", [1.5, 1.0, "7", True, np.True_], ids=["float", "whole_float", "str", "bool", "np_bool"]
+    )
+    def test_cull_spec_takes_only_integer_ids(self, bad):
+        with pytest.raises(ValueError, match="cull ids must be integers"):
+            CullSpec(frozenset({bad}))
+
+    def test_cull_spec_accepts_numpy_integers(self):
+        ids = CullSpec(frozenset({np.int64(1), np.uint8(2)})).remove_ids
+        assert ids == {1, 2} and {type(i) for i in ids} == {int}
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cull_matches_a_rebuild_from_token_strings(self, data):
+        vocab = data.draw(st.sampled_from(CULL_VOCABS))
+        n = vocab.n_nonspecial
+        remove = data.draw(st.frozensets(st.integers(0, n - 1), max_size=int(CULL_FRACTION_MAX * n)))
+        culled, remap = cull_vocab(vocab, CullSpec(remove))
+        gone = {vocab.tokens[i] for i in remove}
+        body = [t for t in vocab.tokens if t not in gone and t not in SPECIAL_TOKENS.values()]
+        tail = [SPECIAL_TOKENS[name] for name in vocab.specials]  # in the order the specials are listed
+        assert list(culled.tokens) == body + [CULL_TOKEN] + tail
+        assert culled.cull_id == len(body) == culled.n_nonspecial - 1
+        assert dict(culled.specials) == {name: culled.tokens.index(SPECIAL_TOKENS[name]) for name in vocab.specials}
+        assert (culled.kind, culled.k, culled.merges) == (vocab.kind, vocab.k, vocab.merges)
+        assert sorted(remap) == list(range(len(vocab)))
+        for old, token in enumerate(vocab.tokens):
+            want = CULL_TOKEN if token in gone else token
+            assert culled.tokens[remap[old]] == want
+        ids = data.draw(st.lists(st.integers(0, len(vocab) - 1), max_size=50))
+        want = [culled.tokens.index(CULL_TOKEN if vocab.tokens[i] in gone else vocab.tokens[i]) for i in ids]
+        assert remap_ids(ids, remap).tolist() == want
 
     def test_rc_label_falls_back_to_cull(self):
         # remove GAT; rc of ATC then resolves to [CULL]
