@@ -15,10 +15,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The choice lists of vocabulary kinds, N modes, masking modes and guiding
-# tasks, and their members. They live here, where no numpy is imported, so
-# that the CLI parser can offer them without loading a submodule; ``core``,
-# ``tokenizers``, ``masking`` and ``guiding`` import them from here.
+# The choice lists the CLI parser offers, and their members. They live
+# here, where no numpy is imported, so that the parser loads no submodule;
+# the modules that use them import them from here.
 KMER = "kmer"
 WORD = "word"
 BPE = "bpe"
@@ -38,6 +37,10 @@ TASK_MST = "mst"
 TASK_SOP = "sop"
 TASK_CSP = "csp"
 GUIDING_TASKS = (TASK_FTM, TASK_MST, TASK_SOP, TASK_CSP)
+
+STD_SAMPLE = "sample"
+STD_POPULATION = "population"
+STD_ESTIMATORS = (STD_SAMPLE, STD_POPULATION)
 
 # submodule -> the names the package exports from it (the constants above
 # are listed with the submodule that re-exports them, which fixes their

@@ -26,7 +26,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DataError
+from . import STD_POPULATION, STD_SAMPLE
+from .errors import ConfigError, DataError
 
 _STD_NORMAL = NormalDist()
 
@@ -103,7 +104,7 @@ def load_scaling_csv(path) -> list[ScalingRecord]:
     return _load_csv(path, "scaling", _SCALING_COLUMNS, ScalingRecord)
 
 
-_DDOF = {"sample": 1, "population": 0}  # each std estimator's delta degrees of freedom
+_DDOF = {STD_SAMPLE: 1, STD_POPULATION: 0}  # each std estimator's delta degrees of freedom
 
 
 def _ddof(estimator: str) -> int:
@@ -113,7 +114,7 @@ def _ddof(estimator: str) -> int:
         raise DataError(f"unknown std estimator {estimator!r}") from None
 
 
-def dataset_sigma(values, estimator: str = "sample") -> float:
+def dataset_sigma(values, estimator: str = STD_SAMPLE) -> float:
     """Standard deviation of one dataset's metric across seeds."""
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size < 2:
@@ -254,10 +255,17 @@ class StabilityReport:
     override: float | None = None
 
 
+def check_thresholds(**thresholds: float | None) -> None:
+    """Refuse a NaN or infinite threshold, which would fail or pass every dataset silently; None is unset."""
+    for name, value in thresholds.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
+
+
 def stability_filter(
     sigmas: dict[str, float],
     threshold_override: float | None = None,
-    estimator: str = "sample",
+    estimator: str = STD_SAMPLE,
 ) -> StabilityReport:
     """Flag unstable datasets by their log performance-std.
 
@@ -268,6 +276,7 @@ def stability_filter(
     three datasets with positive sigma; with an override and fewer, no
     fit is made and its fields are None.
     """
+    check_thresholds(threshold_override=threshold_override)
     ddof = _ddof(estimator)
     positive = {d: s for d, s in sigmas.items() if s > 0}
     logs = {d: math.log(s) for d, s in positive.items()}
@@ -347,6 +356,7 @@ def validity_filter(
     requires positive slope and R^2 > r2_min; datasets with fewer than 3
     distinct sizes are marked indeterminate rather than failed.
     """
+    check_thresholds(r2_min=r2_min)
     grouped = _group_runs(runs)
     scale_pts: dict[str, list[tuple[float, float]]] = {}
     for rec in scaling:
@@ -438,7 +448,7 @@ def criteria_report(
     scaling=(),
     sigma_threshold: float | None = None,
     r2_min: float = 0.4,
-    estimator: str = "sample",
+    estimator: str = STD_SAMPLE,
 ) -> CriteriaReport:
     """Run both criteria over a run table and join the results.
 
@@ -446,6 +456,7 @@ def criteria_report(
     stability verdict. A dataset is selected only when stability, benefit
     and scaling all pass.
     """
+    check_thresholds(sigma_threshold=sigma_threshold, r2_min=r2_min)
     grouped = _group_runs(runs)
     sigmas: dict[str, float] = {}
     for dataset, variants in grouped.items():

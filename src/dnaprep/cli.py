@@ -2,9 +2,10 @@
 
 Subcommands: build-vocab, tokenize, mask, guide, leakage, vocab-stats,
 cull, benchstats. Exit codes: 0 ok, 1 usage error, 2 data error,
-3 constraint violation. ``DNAPREP_SEED`` and ``DNAPREP_THREADS``
-override the corresponding flags when those are left at their defaults;
-a value that is not an integer is a usage error.
+3 constraint violation. A flag not given takes the library's default.
+``DNAPREP_SEED`` and ``DNAPREP_THREADS`` override the corresponding
+flags when those are not given; a value that is not an integer is a
+usage error.
 
 Start-up stays flat as commands are added: importing this module and
 building its parser load only the standard library and ``dnaprep.errors``
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from . import GUIDING_TASKS, KMER, MASK_MODES, MODE_FIXED, N_MODE_AS_UNK, N_MODES, VOCAB_KINDS, WORD, __version__
+from . import GUIDING_TASKS, KMER, MASK_MODES, N_MODES, STD_ESTIMATORS, VOCAB_KINDS, WORD, __version__
 from .errors import ConfigError, DataError, DnaPrepError
 
 EXIT_OK = 0
@@ -34,52 +35,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, given: int | None) -> int | None:
     value = os.environ.get(name)
-    if not value:
-        return default
+    if given is not None or not value:
+        return given
     try:
         return int(value)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _given(**settings) -> dict:
+    """The settings given; None leaves the library's default."""
+    return {name: value for name, value in settings.items() if value is not None}
+
+
 def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--vocab", required=True, help="vocabulary JSON file")
     sub.add_argument("--fasta", required=True, help="input FASTA (.gz accepted)")
     sub.add_argument("--out", required=True, help="output JSONL batch file")
-    sub.add_argument("--n-mode", choices=N_MODES, default=N_MODE_AS_UNK)
+    sub.add_argument("--n-mode", choices=N_MODES)
     sub.add_argument("--no-sentinels", action="store_true", help="do not wrap records in CLS/SEP")
-    sub.add_argument("--p", type=float, default=0.11, help="masking probability")
-    sub.add_argument("--mode", choices=MASK_MODES, default=MODE_FIXED)
-    sub.add_argument("--seed", type=int, default=None, help="master seed (env DNAPREP_SEED)")
-    sub.add_argument("--window", type=int, default=512, help="max window length in bases")
+    sub.add_argument("--p", type=float, help="masking probability")
+    sub.add_argument("--mode", choices=MASK_MODES)
+    sub.add_argument("--seed", type=int, help="master seed (env DNAPREP_SEED)")
+    sub.add_argument("--window", type=int, help="max window length in bases")
     sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; mask/guide run on one thread (env DNAPREP_THREADS)",
-    )
-
-
-def _pipeline_config(args: argparse.Namespace, guiding: tuple[str, ...]):
-    from .pipeline import PipelineConfig
-
-    seed = args.seed if args.seed is not None else _env_int("DNAPREP_SEED", 0)
-    threads = args.threads if args.threads is not None else _env_int("DNAPREP_THREADS", 1)
-    return PipelineConfig(
-        vocab_path=args.vocab,
-        fasta_path=args.fasta,
-        out_path=args.out,
-        n_mode=args.n_mode,
-        add_sentinels=not args.no_sentinels,
-        p=args.p,
-        mode=args.mode,
-        master_seed=seed,
-        guiding=guiding,
-        sop_reverse_prob=getattr(args, "sop_prob", 0.01),
-        window=args.window,
-        threads=threads,
+        "--threads", type=int, help="accepted for compatibility; mask/guide run on one thread (env DNAPREP_THREADS)"
     )
 
 
@@ -100,7 +82,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--fasta", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-mode", choices=N_MODES, default=N_MODE_AS_UNK)
+    p.add_argument("--n-mode", choices=N_MODES)
     p.add_argument("--sentinels", action="store_true", help="wrap each record in CLS/SEP")
     p.add_argument("--window", type=int, default=0, help="split long records (0 = never)")
 
@@ -114,7 +96,7 @@ def build_parser() -> _Parser:
         default="csp",
         help=f"comma-separated subset of {','.join(GUIDING_TASKS)}",
     )
-    p.add_argument("--sop-prob", type=float, default=0.01, help="SOP swap probability")
+    p.add_argument("--sop-prob", type=float, help="SOP swap probability")
 
     p = subs.add_parser("leakage", help="leakage analysis, closed-form or per batch")
     p.add_argument("--k", type=int, required=True)
@@ -125,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--fasta", required=True)
     p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--n-mode", choices=N_MODES, default=N_MODE_AS_UNK)
+    p.add_argument("--n-mode", choices=N_MODES)
     p.add_argument("--accuracy", help="token_id,accuracy CSV for bucketing")
 
     p = subs.add_parser("cull", help="prune tokens into a [CULL]-bearing vocabulary")
@@ -136,9 +118,9 @@ def build_parser() -> _Parser:
     p = subs.add_parser("benchstats", help="stability/validity gate over run tables")
     p.add_argument("--runs", required=True)
     p.add_argument("--scaling")
-    p.add_argument("--sigma-threshold", type=float, default=None)
-    p.add_argument("--r2-min", type=float, default=0.4)
-    p.add_argument("--std", choices=("sample", "population"), default="sample")
+    p.add_argument("--sigma-threshold", type=float)
+    p.add_argument("--r2-min", type=float)
+    p.add_argument("--std", choices=STD_ESTIMATORS)
     p.add_argument("--out", help="write the JSON report here as well")
 
     return parser
@@ -178,7 +160,7 @@ def _cmd_tokenize(args) -> int:
 
         seqs = iter_windows(seqs, args.window)
     vocab = Vocabulary.load(args.vocab)
-    spec = TokenizerSpec(vocab, n_mode=args.n_mode, add_sentinels=args.sentinels)
+    spec = TokenizerSpec(vocab, **_given(n_mode=args.n_mode, add_sentinels=args.sentinels or None))
     with atomic_output(args.out) as tmp, open(tmp, "xb") as out:
         for seq in seqs:
             record = {"seq_id": seq.source_id, "ids": tokenize(seq, spec).tolist()}
@@ -187,9 +169,19 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_mask(args, tasks: tuple[str, ...] = ()) -> int:
-    from .pipeline import run_pipeline
+    from .pipeline import PipelineConfig, run_pipeline
 
-    result = run_pipeline(_pipeline_config(args, tasks))
+    settings = _given(
+        n_mode=args.n_mode,
+        add_sentinels=False if args.no_sentinels else None,
+        p=args.p,
+        mode=args.mode,
+        master_seed=_env_int("DNAPREP_SEED", args.seed),
+        sop_reverse_prob=getattr(args, "sop_prob", None),
+        window=args.window,
+        threads=_env_int("DNAPREP_THREADS", args.threads),
+    )
+    result = run_pipeline(PipelineConfig(args.vocab, args.fasta, args.out, guiding=tasks, **settings))
     print(f"{result.n_records} records -> {result.out_path} (sha256 {result.output_digest[:16]})")
     return EXIT_OK
 
@@ -263,7 +255,7 @@ def _cmd_vocab_stats(args) -> int:
 
     refuse_input_overwrite([args.out], {"--vocab": args.vocab, "--fasta": args.fasta, "--accuracy": args.accuracy})
     vocab = Vocabulary.load(args.vocab)
-    spec = TokenizerSpec(vocab, n_mode=args.n_mode)
+    spec = TokenizerSpec(vocab, **_given(n_mode=args.n_mode))
     accuracy = load_accuracy_csv(args.accuracy, vocab) if args.accuracy else None
     stats = compute_token_stats(read_fasta(args.fasta), spec, accuracy=accuracy)
     buckets = bucket_tokens(stats) if accuracy else None
@@ -306,19 +298,15 @@ def _cmd_cull(args) -> int:
 
 def _cmd_benchstats(args) -> int:
     from .atomic import atomic_output, refuse_input_overwrite
-    from .benchstats import criteria_report, load_runs_csv, load_scaling_csv
+    from .benchstats import check_thresholds, criteria_report, load_runs_csv, load_scaling_csv
 
+    thresholds = _given(sigma_threshold=args.sigma_threshold, r2_min=args.r2_min)
+    check_thresholds(**thresholds)
     if args.out:
         refuse_input_overwrite([args.out], {"--runs": args.runs, "--scaling": args.scaling})
     runs = load_runs_csv(args.runs)
     scaling = load_scaling_csv(args.scaling) if args.scaling else ()
-    report = criteria_report(
-        runs,
-        scaling,
-        sigma_threshold=args.sigma_threshold,
-        r2_min=args.r2_min,
-        estimator=args.std,
-    )
+    report = criteria_report(runs, scaling, **thresholds, **_given(estimator=args.std))
     print(report.to_table())
     print(f"selected: {', '.join(report.selected) if report.selected else '(none)'}")
     if args.out:

@@ -122,6 +122,16 @@ class BpeMergeTable(NamedTuple):
     ids: np.ndarray  # merge-space id -> vocabulary id: [CULL] where culled, -1 where missing without one
 
 
+def as_int(value, name: str, error: type[Exception] = ConfigError, kind: str = "an integer") -> int:
+    """``value`` as a plain int if it is an integer, numpy's included, and no bool; else ``error`` naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Ordered token set: index in ``tokens`` is the token id.
@@ -407,6 +417,7 @@ def build_kmer_vocab(k: int, include_n_tokens: bool = False, kind: str = KMER) -
     tagged for the overlapping (kmer) or non-overlapping (word) tokenizer;
     the token set is identical.
     """
+    k = as_int(k, "k")
     if not 1 <= k <= MAX_K:
         raise ConfigError(f"k must be in [1, {MAX_K}], got {k}")
     if kind not in (KMER, WORD):
@@ -440,16 +451,6 @@ def bpe_vocab_from_merges(merges) -> Vocabulary:
 # -- culling ---------------------------------------------------------------------
 
 
-def _token_id(value) -> int:
-    """``value`` as an int id: an integer, numpy's included, but not a bool; anything else is a ValueError."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"cull ids must be integers, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CullSpec:
     """Which non-special ids to prune; the [CULL] id is assigned on culling."""
@@ -457,7 +458,8 @@ class CullSpec:
     remove_ids: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "remove_ids", frozenset(map(_token_id, self.remove_ids)))
+        ids = (as_int(i, "cull ids", ValueError, "integers") for i in self.remove_ids)
+        object.__setattr__(self, "remove_ids", frozenset(ids))
 
 
 def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int, int]]:
@@ -490,7 +492,7 @@ def cull_vocab(vocab: Vocabulary, spec: CullSpec) -> tuple[Vocabulary, dict[int,
 def remap_ids(ids, remap: dict[int, int]) -> np.ndarray:
     """Apply a cull remap to an id array; an id the remap does not cover is a DataError naming it."""
     ids = np.asarray(ids, dtype=np.int64)
-    table = np.full(max(remap) + 1, -1, dtype=np.int64)
+    table = np.full(max(remap, default=-1) + 1, -1, dtype=np.int64)
     table[list(remap)] = list(remap.values())
     outside = (ids < 0) | (ids >= table.size)
     if outside.any():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUCLEOTIDES
+from .core import NUCLEOTIDES, as_int
 from .errors import ResourceLimitError
 from .masking import MaskPlan
 
@@ -31,24 +31,29 @@ UNKNOWN = "?"
 _ENUM_BUDGET = 16  # max unknown positions: 4**16 assignments
 
 
-def _check_km(k: int, m: int) -> None:
+def _check_km(k: int, m: int) -> tuple[int, int]:
+    """``k`` and ``m`` as plain ints, each an integer >= 1; anything else is a ValueError."""
+    k, m = as_int(k, "k", ValueError), as_int(m, "m", ValueError)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    return k, m
 
 
 def leakage_ratio(k: int, m: int) -> float:
     """Percent of a masked run's content revealed by overlap, in [0, 100]."""
-    _check_km(k, m)
-    if m <= k - 1:
-        return 100.0
-    return 100.0 * (k - 1) / m
+    return _ratio(*_check_km(k, m))
+
+
+def _ratio(k: int, m: int) -> float:
+    """:func:`leakage_ratio` of a checked ``k`` and ``m``."""
+    return 100.0 if m <= k - 1 else 100.0 * (k - 1) / m
 
 
 def max_entropy_ratio(k: int, m: int) -> float:
     """Fraction of the run's maximum prediction entropy that survives."""
-    _check_km(k, m)
+    k, m = _check_km(k, m)
     if m <= k - 1:
         return 0.0
     return (m - k + 1) / m
@@ -56,7 +61,8 @@ def max_entropy_ratio(k: int, m: int) -> float:
 
 def candidate_space_size(k: int, m: int, i: int) -> int:
     """Number of values the i-th masked token (1-based) can still take."""
-    _check_km(k, m)
+    k, m = _check_km(k, m)
+    i = as_int(i, "token index i", ValueError)
     if not 1 <= i <= m:
         raise ValueError(f"token index i must be in [1, {m}], got {i}")
     known = min(k, max(0, k - i) + max(0, k - m + i - 1))
@@ -75,6 +81,7 @@ class LeakageReport:
 
 
 def leakage_report(k: int, m: int) -> LeakageReport:
+    k, m = _check_km(k, m)
     return LeakageReport(
         k=k,
         m=m,
@@ -102,7 +109,7 @@ def masked_run_window(
     analysis this window is used to validate. Zero context on a side
     models a run touching the sequence boundary.
     """
-    _check_km(k, m)
+    k, m = _check_km(k, m)
     total_tokens = left_context + m + right_context
     n = total_tokens + k - 1
     if bases is None:
@@ -126,6 +133,7 @@ def enumerate_consistent_completions(window: str, k: int) -> int:
     assignment is consistent when all observations are reproduced. The
     count is found by explicit enumeration (budget: 16 unknowns).
     """
+    k = as_int(k, "k", ValueError)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     unknown = [pos for pos, ch in enumerate(window) if ch == UNKNOWN]
@@ -162,9 +170,10 @@ def run_leakage(positions, k: int) -> float:
     positions = np.asarray(positions)
     if positions.size == 0:
         return 0.0
+    k, _ = _check_km(k, 1)  # once, not per run
     ends = np.flatnonzero(np.diff(positions) != 1)  # the last index of every run but the final one
     runs = np.diff(ends, prepend=-1, append=positions.size - 1)
-    return sum(m * leakage_ratio(k, m) for m in runs.tolist()) / positions.size
+    return sum(m * _ratio(k, m) for m in runs.tolist()) / positions.size
 
 
 def empirical_plan_leakage(plan: MaskPlan, k: int) -> float:

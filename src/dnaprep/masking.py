@@ -26,8 +26,26 @@ from functools import lru_cache
 import numpy as np
 
 from . import KMER, MASK_MODES, MODE_FIXED, MODE_FLAWED  # noqa: F401 - re-exported
-from .core import Vocabulary
+from .core import Vocabulary, as_int
 from .errors import ConfigError
+
+
+def check_numbers(config, fields: dict) -> None:
+    """Check a frozen config's number fields; ``fields`` maps each to ``int`` or ``(int, float)``.
+
+    An integer field follows :func:`~dnaprep.core.as_int` and is stored as a
+    plain int; a real one takes an int or a float. A bool is neither, so that
+    a manifest echoes a number.
+    """
+    for name, types in fields.items():
+        value = getattr(config, name)
+        if types is int:
+            object.__setattr__(config, name, as_int(value, name))
+        elif isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+_NUMBER_FIELDS = {"p": (int, float), "k": int, "master_seed": int, "first_special_id": int, "mask_id": int}
 
 
 @dataclass(frozen=True)
@@ -42,6 +60,7 @@ class MaskConfig:
     mask_id: int = -1
 
     def __post_init__(self) -> None:
+        check_numbers(self, _NUMBER_FIELDS)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"masking probability must be in [0, 1], got {self.p}")
         if self.k < 1:
@@ -52,25 +71,12 @@ class MaskConfig:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     @classmethod
-    def for_vocab(
-        cls,
-        vocab: Vocabulary,
-        p: float = 0.11,
-        mode: str = MODE_FIXED,
-        master_seed: int = 0,
-    ) -> "MaskConfig":
-        """Derive k (1 for word/BPE), the first special id, and the MASK id."""
+    def for_vocab(cls, vocab: Vocabulary, **settings) -> "MaskConfig":
+        """Derive k (1 for word/BPE), the first special id, and the MASK id; ``settings`` give the rest."""
         if "MASK" not in vocab.specials:
             raise ConfigError("masking requires a MASK special token")
         k = vocab.k if vocab.kind == KMER else 1
-        return cls(
-            p=p,
-            k=k,
-            mode=mode,
-            master_seed=master_seed,
-            first_special_id=vocab.n_nonspecial,
-            mask_id=vocab.mask_id,
-        )
+        return cls(k=k, first_special_id=vocab.n_nonspecial, mask_id=vocab.mask_id, **settings)
 
 
 @dataclass

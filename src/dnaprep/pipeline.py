@@ -27,48 +27,35 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import (
-    GUIDING_TASKS,
-    MODE_FIXED,
-    N_MODE_AS_UNK,
-    N_MODES,
-    TASK_CSP,
-    TASK_FTM,
-    TASK_MST,
-    TASK_SOP,
-    __version__,
-)
+from . import GUIDING_TASKS, MODE_FIXED, TASK_CSP, TASK_FTM, TASK_MST, TASK_SOP, __version__
 from .atomic import atomic_output, refuse_input_overwrite
-from .core import DnaSequence, Vocabulary
+from .core import DnaSequence, Vocabulary, as_int
 from .errors import ConfigError
 from .guiding import GuidingTargets, csp_targets, ftm_targets, mst_apply, sop_transform
-from .masking import MaskConfig, neighbor_mask, select_targets, window_rng
-from .tokenizers import TokenizerSpec, tokenize
+from .masking import MaskConfig, check_numbers, neighbor_mask, select_targets, window_rng
+from .tokenizers import TokenizerSpec, check_settings, tokenize
 
 _SOP_STREAM = 1  # sub-stream tag so SOP draws never collide with masking draws
 
-# numeric fields -> the types they take; bool is refused too, so that the manifest echoes a number
-_NUMBER_FIELDS = {
-    "p": (int, float),
-    "master_seed": int,
-    "sop_reverse_prob": (int, float),
-    "window": int,
-    "threads": int,
-}
+_NUMBER_FIELDS = {"sop_reverse_prob": (int, float), "window": int, "threads": int}  # the rest are MaskConfig's
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved settings for one batch-generation run, checked once on construction and then frozen."""
+    """Resolved settings for one batch-generation run, checked once on construction and then frozen.
+
+    The tokenizer and masking settings take their defaults and their checks
+    from :class:`TokenizerSpec` and :class:`MaskConfig`, which own them.
+    """
 
     vocab_path: str
     fasta_path: str
     out_path: str
-    n_mode: str = N_MODE_AS_UNK
+    n_mode: str = TokenizerSpec.n_mode
     add_sentinels: bool = True
-    p: float = 0.11
-    mode: str = MODE_FIXED
-    master_seed: int = 0
+    p: float = MaskConfig.p
+    mode: str = MaskConfig.mode
+    master_seed: int = MaskConfig.master_seed
     guiding: tuple[str, ...] = ()
     sop_reverse_prob: float = 0.01
     window: int = 512
@@ -86,17 +73,12 @@ class PipelineConfig:
             raise ConfigError(f"unknown guiding tasks: {unknown}")
         if len(set(self.guiding)) < len(self.guiding):
             raise ConfigError(f"guiding tasks must not repeat, got {list(self.guiding)}")
-        if type(self.add_sentinels) is not bool:
-            raise ConfigError(f"add_sentinels must be True or False, got {self.add_sentinels!r}")
-        for name, types in _NUMBER_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                kind = "an integer" if types is int else "a real number"
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        if self.n_mode not in N_MODES:
-            raise ConfigError(f"unknown n_mode {self.n_mode!r}")
-        # p, mode and master_seed get the run's masking checks here, before any input is read
-        MaskConfig(p=self.p, mode=self.mode, master_seed=self.master_seed)
+        check_settings(self.n_mode, self.add_sentinels)
+        # p, mode and master_seed get the run's masking checks here, before any input is read,
+        # and the seed is kept as MaskConfig stores it: a plain int, which the manifest's JSON can hold
+        masking = MaskConfig(p=self.p, mode=self.mode, master_seed=self.master_seed)
+        object.__setattr__(self, "master_seed", masking.master_seed)
+        check_numbers(self, _NUMBER_FIELDS)
         if TASK_FTM in self.guiding and self.mode != MODE_FIXED:
             raise ConfigError("FTM requires fixed-mode masking")
         if not 0.0 <= self.sop_reverse_prob <= 1.0:  # NaN fails too
@@ -118,6 +100,7 @@ class PipelineResult:
 
 def iter_windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequence]:
     """Split sequences into fixed-size windows, ids marking the span; a window below 1 raises at once."""
+    window = as_int(window, "window")
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     return _windows(seqs, window)
@@ -200,7 +183,7 @@ def build_record(
     ids = tokenize(seq, spec)
     sop_label = 0
     if TASK_SOP in cfg.guiding:
-        rng = window_rng(cfg.master_seed, ordinal, _SOP_STREAM)
+        rng = window_rng(mask_cfg.master_seed, ordinal, _SOP_STREAM)
         ids, sop_label = sop_transform(ids, cfg.sop_reverse_prob, rng, first_special_id=mask_cfg.first_special_id)
     targets = select_targets(ids, mask_cfg, ordinal)
     plan = neighbor_mask(ids, targets, mask_cfg)
@@ -211,7 +194,7 @@ def build_record(
     table, literals = _line_table(size, cfg.guiding)
     m_in = plan.in_mask.nonzero()[0]
     m = plan.target_mask.nonzero()[0]
-    labeled = m if plan.mode == MODE_FIXED else m_in  # the label mask (see MaskPlan)
+    labeled = plan.label_mask.nonzero()[0]
     input_ids = plan.input_ids
     tasks: list[GuidingTargets] = []
     if TASK_FTM in cfg.guiding:
@@ -269,9 +252,7 @@ def run_pipeline(cfg: PipelineConfig, sequences: Iterable[DnaSequence] | None = 
         vocab_bytes = fh.read()  # parsed and hashed, so the manifest names the vocabulary used
     vocab = Vocabulary.from_json_bytes(vocab_bytes)
     spec = TokenizerSpec(vocab, n_mode=cfg.n_mode, add_sentinels=cfg.add_sentinels)
-    mask_cfg = MaskConfig.for_vocab(
-        vocab, p=cfg.p, mode=cfg.mode, master_seed=cfg.master_seed
-    )
+    mask_cfg = MaskConfig.for_vocab(vocab, p=cfg.p, mode=cfg.mode, master_seed=cfg.master_seed)
     if TASK_FTM in cfg.guiding and mask_cfg.k < 2:
         raise ConfigError("FTM requires an overlapping tokenizer (k >= 2)")
     fasta_digest = None

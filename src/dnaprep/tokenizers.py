@@ -41,6 +41,7 @@ from .core import (
     BpeMergeTable,
     DnaSequence,
     Vocabulary,
+    as_int,
     bpe_vocab_from_merges,
 )
 from .errors import ConfigError, DataError
@@ -59,16 +60,21 @@ class TokenizerSpec:
     add_sentinels: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_mode not in N_MODES:
-            raise ConfigError(f"unknown n_mode {self.n_mode!r}")
-        if type(self.add_sentinels) is not bool:
-            raise ConfigError(f"add_sentinels must be True or False, got {self.add_sentinels!r}")
+        check_settings(self.n_mode, self.add_sentinels)
         if self.n_mode == N_MODE_AS_UNK and "UNK" not in self.vocab.specials:
             raise ConfigError("as_unk mode requires an UNK special token")
         if self.add_sentinels and not {"CLS", "SEP"} <= self.vocab.specials.keys():
             raise ConfigError("sentinels require CLS and SEP special tokens")
         if self.n_mode == N_MODE_SEG and not self.vocab.n_run_cover:
             raise ConfigError("seg_n mode requires a vocabulary built with N-run tokens")
+
+
+def check_settings(n_mode: str, add_sentinels: bool) -> None:
+    """The checks of a spec's settings that need no vocabulary; ``PipelineConfig`` runs them too."""
+    if n_mode not in N_MODES:
+        raise ConfigError(f"unknown n_mode {n_mode!r}")
+    if type(add_sentinels) is not bool:
+        raise ConfigError(f"add_sentinels must be True or False, got {add_sentinels!r}")
 
 
 def _codes(bases: str) -> np.ndarray:
@@ -269,6 +275,7 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
     """
     if spec.vocab.kind != KMER:
         raise ConfigError("parallel encoding is only defined for the kmer tokenizer")
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     return _fixed_width_ids(seq.bases, spec, stride=1, threads=threads)
@@ -478,7 +485,7 @@ def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict
     the corpus runs out of adjacent pairs first, each size not reached
     gets the vocabulary at the achieved size, with a warning.
     """
-    wanted = sorted(set(sizes))
+    wanted = sorted({as_int(size, "target_size") for size in sizes})
     if not wanted:
         raise ConfigError("no sizes requested")
     if wanted[0] < 4:

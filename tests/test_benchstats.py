@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dnaprep import (
+    ConfigError,
     DataError,
     RunRecord,
     ScalingRecord,
@@ -201,6 +202,28 @@ class TestStability:
     def test_too_few_datasets(self):
         with pytest.raises(DataError):
             stability_filter({"a": 1.0, "b": 2.0})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: stability_filter(SIGMA_EVAL, threshold_override=math.nan),
+            "threshold_override must be a finite number, got nan",
+        ),
+        (lambda: validity_filter(baseline_runs(), r2_min=math.nan), "r2_min must be a finite number, got nan"),
+        (
+            lambda: criteria_report(baseline_runs(), sigma_threshold=math.inf),
+            "sigma_threshold must be a finite number, got inf",
+        ),
+        (lambda: criteria_report(baseline_runs(), r2_min=-math.inf), "r2_min must be a finite number, got -inf"),
+    ],
+    ids=["stability_nan", "validity_nan", "criteria_inf", "criteria_minus_inf"],
+)
+def test_non_finite_threshold_is_a_config_error(call, message):
+    """NaN fails every comparison and infinity passes or fails all of them, so neither is a threshold."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call()
 
 
 class TestValidity:

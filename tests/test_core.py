@@ -314,3 +314,55 @@ class TestPackageNamespace:
         finally:
             dnaprep.run_pipeline = original
         assert dnaprep.run_pipeline is original is pipeline.run_pipeline
+
+
+def _short_kmer_call(threads):
+    from dnaprep import TokenizerSpec, kmer_tokenize_parallel
+
+    return kmer_tokenize_parallel(DnaSequence("ACGTACGT"), TokenizerSpec(build_kmer_vocab(3)), threads=threads)
+
+
+def _bpe_call(target_size):
+    from dnaprep import bpe_train
+
+    return bpe_train([DnaSequence("ACGTACGTAACCGGTT" * 4)], target_size)
+
+
+def _pipeline_seed(seed):
+    """A config's master_seed, once its manifest's config is JSON (which refuses a numpy integer)."""
+    from dnaprep import PipelineConfig
+
+    cfg = PipelineConfig("v.json", "in.fa", "out.jsonl", master_seed=seed)
+    json.dumps(dataclasses.asdict(cfg))
+    return cfg.master_seed
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: build_kmer_vocab(np.int64(3)).k, 3),
+        (lambda: _pipeline_seed(np.int64(3)), 3),
+        (lambda: dnaprep.MaskConfig(k=np.int64(3)).k, 3),
+        (lambda: build_kmer_vocab(2.0), (ConfigError, "k must be an integer, got 2.0")),
+        (lambda: build_kmer_vocab(True), (ConfigError, "k must be an integer, got True")),
+        (lambda: _bpe_call(4.5), (ConfigError, "target_size must be an integer, got 4.5")),
+        (lambda: _short_kmer_call(2.0), (ConfigError, "threads must be an integer, got 2.0")),
+        (lambda: dnaprep.leakage_ratio(2.5, 3), (ValueError, "k must be an integer, got 2.5")),
+        (lambda: dnaprep.leakage_ratio(3, True), (ValueError, "m must be an integer, got True")),
+        (lambda: dnaprep.iter_windows([], 2.5), (ConfigError, "window must be an integer, got 2.5")),
+    ],
+    ids=[
+        "vocab_np_k", "pipeline_np_seed", "mask_np_k", "vocab_float_k", "vocab_bool_k", "bpe_float_size",
+        "parallel_float_threads", "leakage_float_k", "leakage_bool_m", "windows_float",
+    ],
+)
+def test_one_integer_rule_at_every_entry_point(call, expected):
+    """A numpy integer is taken and kept as a plain int; a bool or a float is refused with the site's error."""
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error, match=re.escape(message)) as info:
+            call()
+        assert type(info.value) is error
+    else:
+        value = call()
+        assert value == expected and type(value) is int

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,25 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(ConfigError):
             MaskConfig(master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", 2.5, "k must be an integer, got 2.5"),
+            ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+            ("k", True, "k must be an integer, got True"),
+            ("p", "0.1", "p must be a real number, got '0.1'"),
+        ],
+        ids=["k_float", "seed_float", "k_bool", "p_str"],
+    )
+    def test_refuses_a_number_of_the_wrong_type_naming_the_field(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MaskConfig(**{field: value})
+
+    def test_stores_numpy_integers_as_plain_ints(self):
+        cfg = MaskConfig(k=np.int64(3), master_seed=np.uint8(7), mask_id=np.int32(5))
+        assert (cfg.k, cfg.master_seed, cfg.mask_id) == (3, 7, 5)
+        assert {type(cfg.k), type(cfg.master_seed), type(cfg.mask_id)} == {int}
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_hand_built_config_treats_every_id_as_non_special(self, dtype):

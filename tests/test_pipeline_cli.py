@@ -899,3 +899,55 @@ def test_build_record_rejects_a_mask_id_outside_the_vocabulary():
     mask_cfg = MaskConfig(k=3, first_special_id=vocab.n_nonspecial)  # mask_id left at -1
     with pytest.raises(ConfigError):
         build_record(DnaSequence("ACGTACGT", "s"), 0, TokenizerSpec(vocab, add_sentinels=True), mask_cfg, cfg)
+
+
+@pytest.mark.parametrize(
+    "argv, guiding", [(["mask"], ()), (["guide", "--tasks", "sop,csp"], ("sop", "csp"))], ids=["mask", "guide"]
+)
+def test_a_run_with_no_flags_echoes_the_library_defaults(tmp_path, vocab3_path, monkeypatch, argv, guiding):
+    """A flag that is not given takes the library's default, so the CLI and a library run agree."""
+    monkeypatch.delenv("DNAPREP_SEED", raising=False)
+    monkeypatch.delenv("DNAPREP_THREADS", raising=False)
+    fasta = write_fasta(tmp_path, ">a\n" + "ACGTTGCA" * 90 + "\n")
+    out = str(tmp_path / "o.jsonl")
+    assert main([*argv, "--vocab", vocab3_path, "--fasta", fasta, "--out", out]) == 0
+    with open(out + ".manifest.json") as fh:
+        config = json.load(fh)["config"]
+    expected = dataclasses.asdict(PipelineConfig(vocab3_path, fasta, out, guiding=guiding))
+    assert config == json.loads(json.dumps(expected))
+
+
+def test_build_record_draws_sop_from_the_masking_seed():
+    """SOP and the targets share mask_cfg's seed: the pipeline config's master_seed is not read."""
+    from dnaprep import TokenizerSpec, build_record
+
+    vocab = build_kmer_vocab(3)
+    spec = TokenizerSpec(vocab, add_sentinels=True)
+    seq = DnaSequence("ACGTTGCAAC" * 12, "s")
+
+    def lines(mask_seed, cfg_seed):
+        mask_cfg = MaskConfig.for_vocab(vocab, master_seed=mask_seed)
+        cfg = PipelineConfig("", "", "", master_seed=cfg_seed, guiding=("sop",), sop_reverse_prob=0.5)
+        return [build_record(seq, ordinal, spec, mask_cfg, cfg) for ordinal in range(40)]
+
+    assert lines(3, 0) == lines(3, 7) == lines(3, 3)
+    assert lines(3, 0) != lines(4, 0)
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--sigma-threshold=nan", "sigma_threshold must be a finite number, got nan"),
+        ("--r2-min=nan", "r2_min must be a finite number, got nan"),
+        ("--r2-min=-inf", "r2_min must be a finite number, got -inf"),
+    ],
+    ids=["sigma_nan", "r2_nan", "r2_minus_inf"],
+)
+def test_benchstats_refuses_a_non_finite_threshold_before_reading_the_tables(tmp_path, capsys, flag, message):
+    out = tmp_path / "report.json"
+    # the tables are missing: a run that got as far as reading one would exit 2
+    argv = ["benchstats", "--runs", str(tmp_path / "absent.csv"), "--scaling", str(tmp_path / "absent2.csv")]
+    assert main([*argv, flag, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+    assert captured.out == "" and not out.exists()

@@ -449,6 +449,14 @@ class TestCull:
         with pytest.raises(DataError, match=f"id {bad} is not in the vocabulary of {len(V3)} ids"):
             remap_ids([0, bad], remap)
 
+    def test_empty_remap_names_the_first_uncovered_id(self):
+        with pytest.raises(DataError, match="id 1 is not in the vocabulary of 0 ids"):
+            remap_ids([1, 2], {})
+
+    def test_empty_remap_of_no_ids_is_an_empty_array(self):
+        out = remap_ids([], {})
+        assert out.dtype == np.int64 and out.shape == (0,)
+
     @pytest.mark.parametrize(
         "bad", [1.5, 1.0, "7", True, np.True_], ids=["float", "whole_float", "str", "bool", "np_bool"]
     )
