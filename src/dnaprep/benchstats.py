@@ -111,7 +111,7 @@ def _ddof(estimator: str) -> int:
     try:
         return _DDOF[estimator]
     except KeyError:
-        raise DataError(f"unknown std estimator {estimator!r}") from None
+        raise ConfigError(f"unknown std estimator {estimator!r}") from None
 
 
 def dataset_sigma(values, estimator: str = STD_SAMPLE) -> float:

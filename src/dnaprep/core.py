@@ -155,8 +155,14 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if self.kind not in VOCAB_KINDS:
             raise ConfigError(f"unknown vocabulary kind {self.kind!r}")
-        if self.kind in (KMER, WORD) and not (type(self.k) is int and 1 <= self.k <= MAX_K):
-            raise DataError(f"{self.kind} vocabulary requires an integer k in [1, {MAX_K}], got {self.k!r}")
+        if self.kind in (KMER, WORD):
+            try:
+                k = as_int(self.k, "k", DataError)
+            except DataError:
+                k = 0
+            if not 1 <= k <= MAX_K:
+                raise DataError(f"{self.kind} vocabulary requires an integer k in [1, {MAX_K}], got {self.k!r}")
+            object.__setattr__(self, "k", k)
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "specials", MappingProxyType(dict(self.specials)))
         object.__setattr__(self, "merges", tuple((l, r) for l, r in self.merges))

@@ -6,12 +6,20 @@ sequences only, never across record boundaries. Per-token prediction
 accuracies are consumed from an external file -- this toolkit never
 computes them. Culling a vocabulary by these statistics is
 :func:`dnaprep.core.cull_vocab`.
+
+Successor pairs are counted a buffer at a time. A full buffer is sorted,
+run-counted and merged into the table of distinct pairs on one worker
+thread (numpy's sort releases the GIL) while the caller reads and
+tokenizes the next records; at most one buffer is in flight, and every
+count is an exact integer sum, so the table is the same as counted in
+series.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +30,8 @@ from .tokenizers import TokenizerSpec, tokenize
 
 # Successor keys gathered across records before one sort counts them into
 # the table of distinct pairs: the buffer never holds more than this many
-# keys plus one record's.
+# keys plus one record's. A full buffer is counted on the worker while the
+# next one fills, so up to two such buffers are held at once.
 _PAIR_BUFFER = 1 << 20
 
 
@@ -57,31 +66,35 @@ def compute_token_stats(
     freq = np.zeros(size, dtype=np.int64)
     # the narrowest unsigned type holding every successor key left * size + right
     key_type = np.min_scalar_type(size * size)
-    # the distinct successor pairs seen so far, sorted, with their counts
-    keys = np.empty(0, dtype=key_type)
-    counts = np.empty(0, dtype=np.int64)
+    table = _PairTable(key_type)
     buffer: list[np.ndarray] = []
     buffered = 0
-    for seq in corpus:
-        # each record-long array is dropped as soon as it is used, so none
-        # is held while the next record is read or the buffer is counted
-        ids = tokenize(seq, spec)
-        del seq
-        if ids.size:
-            # every other token is the left side of one successor pair,
-            # counted with the pairs below
-            freq[ids[-1]] += 1
-        if ids.size >= 2:
-            pairs = _successor_keys(ids, size, key_type)
-            del ids
-            buffer.append(pairs)
-            buffered += pairs.size
-            del pairs
-            if buffered >= _PAIR_BUFFER:
-                keys, counts = _merge_pairs(keys, counts, buffer)
-                buffered = 0
+    try:
+        for seq in corpus:
+            # each record-long array is dropped as soon as it is used, so none
+            # is held while the next record is read or the buffer is counted
+            ids = tokenize(seq, spec)
+            del seq
+            if ids.size:
+                # every other token is the left side of one successor pair,
+                # counted with the pairs below
+                freq[ids[-1]] += 1
+            if ids.size >= 2:
+                pairs = _successor_keys(ids, size, key_type)
+                del ids
+                buffer.append(pairs)
+                buffered += pairs.size
+                del pairs
+                if buffered >= _PAIR_BUFFER:
+                    table.add(buffer, on_worker=True)
+                    buffered = 0
+    finally:
+        # no thread outlives the call; an error from the corpus is the one raised
+        table.wait()
+    table.join()  # raises the worker's error, if any
     if buffer:
-        keys, counts = _merge_pairs(keys, counts, buffer)
+        table.add(buffer)
+    keys, counts = table.keys, table.counts
     entropy = np.zeros(size, dtype=np.float64)
     if keys.size:
         lefts = (keys // size).astype(np.intp)  # sorted, so each row's successors are contiguous
@@ -122,31 +135,80 @@ def _successor_keys(ids: np.ndarray, size: int, key_type: np.dtype) -> np.ndarra
     return keys
 
 
-def _run_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array and how many times each occurs."""
-    edges = np.empty(keys.size + 1, dtype=bool)
+def _run_counts(keys: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how many times each occurs.
+
+    ``edges`` is scratch space of ``keys.size + 1`` bools, its contents unused.
+    """
     edges[0] = edges[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)  # where each run starts, then the end
     return keys[bounds[:-1]], np.diff(bounds)
 
 
-def _merge_pairs(keys: np.ndarray, counts: np.ndarray, buffer: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Count the buffered successor keys into the sorted (keys, counts) table.
+def _merge_pairs(keys: np.ndarray, counts: np.ndarray, batch: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Count a batch of successor keys into the sorted (keys, counts) table.
 
-    Empties ``buffer`` as it reads it, so the buffered arrays are freed
-    before their keys are sorted. The keys are sorted in place: the array
-    is this function's own, either the concatenation or the one record's
-    keys that the buffer alone held.
+    ``batch`` is [the keys, the scratch edges for :func:`_run_counts`]. It
+    is emptied once both are used, so they are freed before the merge. The
+    keys are sorted in place.
     """
-    new = buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)
-    buffer.clear()
-    new.sort()
-    new, new_counts = _run_counts(new)
+    batch[0].sort()
+    new, new_counts = _run_counts(*batch)
+    batch.clear()
     merged, inverse = np.unique(np.concatenate((keys, new)), return_inverse=True)
     # float sums of integers below 2**53 are exact
     totals = np.bincount(inverse, weights=np.concatenate((counts, new_counts)), minlength=merged.size)
     return merged, totals.astype(np.int64)
+
+
+class _PairTable:
+    """The distinct successor keys counted so far, sorted, and their counts.
+
+    :meth:`add` counts a buffer in, on this thread or on one worker thread.
+    At most one buffer is in flight: each call waits for the worker before
+    it starts the next, and the worker's error is raised in the caller.
+    The worker calls numpy only, and allocates nothing of a record's size:
+    a worker thread's malloc arena keeps freed blocks resident, so the
+    caller makes the batch's arrays.
+    """
+
+    def __init__(self, key_type: np.dtype):
+        self.keys = np.empty(0, dtype=key_type)
+        self.counts = np.empty(0, dtype=np.int64)
+        self._worker: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def add(self, buffer: list[np.ndarray], on_worker: bool = False) -> None:
+        """Count the buffered arrays in, emptying ``buffer``."""
+        batch = [buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)]
+        buffer.clear()
+        batch.append(np.empty(batch[0].size + 1, dtype=bool))
+        self.join()
+        if on_worker:
+            self._worker = threading.Thread(target=self._merge_on_worker, args=(batch,))
+            self._worker.start()
+        else:
+            self.keys, self.counts = _merge_pairs(self.keys, self.counts, batch)
+
+    def _merge_on_worker(self, batch: list[np.ndarray]) -> None:
+        try:
+            self.keys, self.counts = _merge_pairs(self.keys, self.counts, batch)
+        except BaseException as exc:  # raised again in the caller by join()
+            self._error = exc
+
+    def wait(self) -> None:
+        """Wait for the worker in flight, if any."""
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = None
+
+    def join(self) -> None:
+        """Wait for the worker in flight, if any, and raise its error."""
+        self.wait()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
 
 def load_accuracy_csv(path, vocab: Vocabulary) -> dict[int, float]:

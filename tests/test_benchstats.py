@@ -93,7 +93,7 @@ class TestDatasetSigma:
         ids=["dataset_sigma", "stability_filter", "stability_filter_without_a_fit"],
     )
     def test_unknown_estimator_rejected(self, call):
-        with pytest.raises(DataError, match="unknown std estimator 'bogus'"):
+        with pytest.raises(ConfigError, match="unknown std estimator 'bogus'"):
             call("bogus")
 
 

@@ -252,6 +252,21 @@ class TestSerialization:
         with pytest.raises(DataError, match=re.escape(message)):
             Vocabulary.from_json_bytes(json.dumps(obj).encode())
 
+    def test_takes_a_numpy_integer_k_as_a_plain_int(self):
+        v = build_kmer_vocab(2)
+        got = Vocabulary("kmer", v.tokens, dict(v.specials), k=np.int64(2))
+        assert type(got.k) is int
+        assert got.to_json_bytes() == Vocabulary("kmer", v.tokens, dict(v.specials), k=2).to_json_bytes()
+
+    @pytest.mark.parametrize(
+        "k", [True, np.True_, 2.0, "2", np.int64(13)], ids=["bool", "numpy_bool", "float", "string", "numpy_13"]
+    )
+    def test_rejects_a_k_that_is_no_usable_integer(self, k):
+        v = build_kmer_vocab(2)
+        message = f"kmer vocabulary requires an integer k in [1, 12], got {k!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Vocabulary("kmer", v.tokens, dict(v.specials), k=k)
+
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(DataError):
             Vocabulary(kind="bpe", tokens=("A", "A"), specials={})

@@ -333,6 +333,13 @@ _CLI = "from dnaprep.cli import main; d = sys.argv[1]\n"
             id="mask",
         ),
         pytest.param(
+            _CLI + "assert main(['vocab-stats', '--vocab', f'{d}/k3.json', '--fasta', f'{d}/in.fa', '--out', f'{d}/s.csv']) == 0",
+            {"dnaprep", "dnaprep.cli", "dnaprep.errors", "dnaprep.atomic", "dnaprep.core", "dnaprep.fasta"}
+            | {"dnaprep.tokenizers", "dnaprep.vocabstats"},
+            ("concurrent.futures",),
+            id="vocab_stats",
+        ),
+        pytest.param(
             _CLI + "try:\n    main(['--version'])\nexcept SystemExit as done:\n    assert done.code == 0",
             {"dnaprep", "dnaprep.cli", "dnaprep.errors"},
             ("numpy",),

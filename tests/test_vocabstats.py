@@ -2,7 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +26,7 @@ from dnaprep import (
     compute_token_stats,
     cull_vocab,
     kmer_tokenize,
+    read_fasta,
     remap_ids,
     tokenize,
 )
@@ -230,6 +234,69 @@ class TestPairBuffer:
         with mock.patch.object(vocabstats, "_PAIR_BUFFER", buffer):
             assert_matches_loop([DnaSequence(t) for t in texts], spec)
 
+    @pytest.mark.parametrize("n_mode", N_MODES)
+    def test_worker_counts_match_the_loop(self, n_mode):
+        # a buffer of 100 keys goes to the worker after most records, and
+        # after a few short ones together; N runs are of every length
+        rng = np.random.default_rng(len(n_mode))
+        sizes = (700, 0, 3, 450, 40, 190, 30, 600, 260, 1200)
+        texts = ["".join(rng.choice(list("ACGTN"), p=[0.22] * 4 + [0.12], size=n)) for n in sizes]
+        texts[3] = "N" * 300 + texts[3] + "N" * 50
+        vocab = build_kmer_vocab(3, include_n_tokens=n_mode == "seg_n")
+        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=True)
+        with _workers_seen() as workers, mock.patch.object(vocabstats, "_PAIR_BUFFER", 100):
+            assert_matches_loop([DnaSequence(t) for t in texts], spec)
+        assert len(workers) >= 5
+        assert threading.current_thread() not in workers
+
+    def test_a_corpus_below_one_buffer_starts_no_thread(self):
+        before = threading.active_count()
+        spec = TokenizerSpec(V3)
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread was started")):
+            assert_matches_loop([DnaSequence("ACGTTGCA" * 100), DnaSequence("ACGNNTTA" * 50)], spec)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 4])
+    def test_a_worker_error_is_raised_in_the_caller(self, failing_call):
+        # a buffer of one record's keys: each of the four records goes to the
+        # worker, and the caller joins the last one after the loop
+        merge = vocabstats._merge_pairs
+        calls = []
+
+        def failing(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == failing_call:
+                raise RuntimeError("merge failed")
+            return merge(*args)
+
+        before = threading.active_count()
+        corpus = [DnaSequence("ACGT" * 250) for _ in range(4)]
+        with mock.patch.object(vocabstats, "_merge_pairs", failing), mock.patch.object(vocabstats, "_PAIR_BUFFER", 997):
+            with pytest.raises(RuntimeError, match="merge failed"):
+                compute_token_stats(corpus, TokenizerSpec(V3))
+        assert len(calls) == failing_call and threading.current_thread() not in calls
+        assert threading.active_count() == before
+
+    def test_a_bad_record_after_a_flush_waits_for_the_worker(self, tmp_path):
+        # the worker is still merging the first record when the third one
+        # fails to read; the call returns only once the worker is done
+        merge = vocabstats._merge_pairs
+        done = []
+
+        def slow(*args):
+            time.sleep(0.2)
+            done.append(merge(*args))
+            return done[-1]
+
+        path = tmp_path / "bad.fa"
+        path.write_text(">a\n" + "ACGT" * 400 + "\n>b\nACGTTGCA\n>c\nACGTXACGT\n")
+        before = threading.active_count()
+        with mock.patch.object(vocabstats, "_merge_pairs", slow), mock.patch.object(vocabstats, "_PAIR_BUFFER", 1000):
+            with pytest.raises(DataError, match="invalid symbol"):
+                compute_token_stats(read_fasta(path), TokenizerSpec(V3))
+        assert len(done) == 1
+        assert threading.active_count() == before
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
     def test_peak_memory_does_not_grow_with_the_corpus(self):
         # Each run is a fresh process that reads its own VmHWM; eight 1 Mbp
@@ -237,6 +304,20 @@ class TestPairBuffer:
         # keys until the end costs about 13 MiB more per record.
         peaks = {n: _peak_mib_of_token_stats(n) for n in (2, 8)}
         assert peaks[8] - peaks[2] < 4, peaks
+
+
+@contextmanager
+def _workers_seen():
+    """The threads that count a buffer on the worker while the block runs."""
+    seen = []
+    merge = vocabstats._PairTable._merge_on_worker
+
+    def recording(table, batch):
+        seen.append(threading.current_thread())
+        merge(table, batch)
+
+    with mock.patch.object(vocabstats._PairTable, "_merge_on_worker", recording):
+        yield seen
 
 
 _PEAK_SCRIPT = """
@@ -312,7 +393,7 @@ class TestRunCounts:
     @staticmethod
     def assert_run_counts(values, key_type):
         keys = np.sort(np.asarray(values, dtype=key_type))
-        got_keys, got_counts = vocabstats._run_counts(keys)
+        got_keys, got_counts = vocabstats._run_counts(keys, np.empty(keys.size + 1, dtype=bool))
         want_keys, want_counts = np.unique(keys, return_counts=True)
         assert got_keys.dtype == key_type
         assert np.array_equal(got_keys, want_keys)
@@ -336,9 +417,10 @@ class TestRunCounts:
     def test_merge_sorts_its_own_buffer_in_place(self):
         # one buffered array is the record's own keys: sorted where it lies
         pairs = np.array([9, 3, 9, 1, 3, 9], dtype=np.uint32)
-        keys, counts = vocabstats._merge_pairs(np.array([3, 4], np.uint32), np.array([2, 5]), [pairs])
+        batch = [pairs, np.empty(pairs.size + 1, dtype=bool)]
+        keys, counts = vocabstats._merge_pairs(np.array([3, 4], np.uint32), np.array([2, 5]), batch)
         assert keys.tolist() == [1, 3, 4, 9] and counts.tolist() == [1, 4, 5, 3]
-        assert pairs.tolist() == [1, 3, 3, 9, 9, 9]
+        assert pairs.tolist() == [1, 3, 3, 9, 9, 9] and batch == []
 
 
 class TestBuckets:
