@@ -29,7 +29,7 @@ import numpy as np
 
 from . import GUIDING_TASKS, MODE_FIXED, TASK_CSP, TASK_FTM, TASK_MST, TASK_SOP, __version__
 from .atomic import atomic_output, refuse_input_overwrite
-from .core import DnaSequence, Vocabulary, as_int
+from .core import DnaSequence, Vocabulary, as_int, subsequence
 from .errors import ConfigError
 from .guiding import GuidingTargets, csp_targets, ftm_targets, mst_apply, sop_transform
 from .masking import MaskConfig, check_numbers, neighbor_mask, select_targets, window_rng
@@ -108,12 +108,13 @@ def iter_windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequen
 
 def _windows(seqs: Iterable[DnaSequence], window: int) -> Iterator[DnaSequence]:
     for seq in seqs:
-        if len(seq.bases) <= window:
+        n = len(seq.bases)
+        if n <= window:
             yield seq
             continue
-        for start in range(0, len(seq.bases), window):
-            piece = seq.bases[start : start + window]
-            yield DnaSequence(piece, source_id=f"{seq.source_id}:{start}-{start + len(piece)}")
+        for start in range(0, n, window):
+            stop = min(start + window, n)
+            yield subsequence(seq, start, stop, f"{seq.source_id}:{start}-{stop}")
 
 
 _FIELD = b"\0"  # where a field's values go in a line template; no literal text holds it

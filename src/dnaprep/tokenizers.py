@@ -46,8 +46,6 @@ from .core import (
 )
 from .errors import ConfigError, DataError
 
-_N_CODE = BASE_CODES[ord(N_CHAR)]
-
 _N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
 
 
@@ -78,7 +76,7 @@ def check_settings(n_mode: str, add_sentinels: bool) -> None:
 
 
 def _codes(bases: str) -> np.ndarray:
-    """A read-only array of base codes: A, C, G, T, N -> 0..4."""
+    """A read-only array of base codes: A, C, G, T, N -> 0..4 (BPE's merge-space ids of the bases)."""
     return np.frombuffer(bases.encode("ascii").translate(BASE_CODES), dtype=np.uint8)
 
 
@@ -89,18 +87,25 @@ def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
     return [vocab.special_id("CLS")], [vocab.special_id("SEP")]
 
 
-_DIGITS = bytes(min(code, 3) for code in BASE_CODES)  # a base's k-mer digit: its code, with N read as T
+# A base's k-mer digit on the one-correlate path: its code, with N read as
+# T. The block path reads the same digits of A, C, G and T off the ASCII
+# bits instead (see _digits), and N gives it 0.
+_DIGITS = bytes(min(code, 3) for code in BASE_CODES)
 _N_BYTE = ord(N_CHAR)
 _WEIGHTS = [4 ** np.arange(k - 1, -1, -1, dtype=np.int32) for k in range(MAX_K + 1)]  # k-mer digit weights
 
 # Inputs up to this many bases get their stride-1 values from one
-# np.correlate; longer ones, and any input cut into thread spans, from a
-# shift-add pass per digit, a block at a time. Timed on a 2-vCPU host, one
-# call with sentinels on an input holding an N, correlate vs blocks at
-# k = 6: 1024 bases 16.7 vs 22.0 us, 2048 23.6 vs 24.6, 3072 29.1 vs 26.6,
-# 4096 36.2 vs 32.0 (k = 3 and k = 12 cross over near 2048 as well).
+# np.correlate; longer ones, word stride and any input cut into thread
+# spans get them from _kmer_values, a block at a time. Timed on a 2-vCPU
+# host, one call with sentinels on an input holding an N, correlate vs
+# blocks at k = 6: 1024 bases 18.0 vs 24.8 us, 2048 25.8 vs 32.4, 3072
+# 31.9 vs 26.2, 4096 42.8 vs 28.4 (the shift-add kernel before it crossed
+# over between 2048 and 3072 too, at k = 3 and k = 12 as well).
 _CORRELATE_MAX = 2048
-_VALUE_BLOCK = 1 << 16  # windows whose values _span_ids builds at once
+# Windows whose values _span_ids builds at once: the digits and the
+# narrow window values of a block stay in cache, and only the int32 ids
+# span the whole input.
+_VALUE_BLOCK = 1 << 16
 
 # Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
 # 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
@@ -151,18 +156,57 @@ def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndar
     return ids
 
 
-def _kmer_values(codes: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write the base-4 value of every width-k window of ``codes`` to ``out``, N read as T."""
-    # 4**12 < 2**31, so int32 holds any k <= 12 window value and every partial sum
-    clean = np.minimum(codes, 3, dtype=np.int32)
-    out[...] = clean[: out.size]
-    for j in range(1, k):
-        out <<= 2
-        out += clean[j : j + out.size]
+def _digits(raw: np.ndarray) -> np.ndarray:
+    """Each ASCII base's k-mer digit, ``((b >> 1) ^ (b >> 2)) & 3``: A, C, G, T -> 0..3, N -> 0.
+
+    Written with ``//``, which numpy vectorizes for uint8 where it does not ``>>``.
+    """
+    digits = raw // 2
+    digits ^= raw // 4
+    digits &= 3
+    return digits
+
+
+def _kmer_values(raw: np.ndarray, k: int, stride: int, out: np.ndarray) -> None:
+    """Write the base-4 value of every width-k window of the ASCII bases ``raw`` at ``stride`` to ``out``.
+
+    The values of every window of width 1, 2, 4 and 8 up to k come by
+    doubling, each in the narrowest unsigned type that holds it (uint8
+    up to 4 bases, uint16 up to 8); k's width is then summed from them in
+    the order of its binary digits, in the narrowest type that holds k
+    bases (up to 12 bases, uint32 in ``out`` itself). An N's digit is
+    some digit below 4, so its windows hold a value in range.
+    """
+    powers = [_digits(raw)]  # powers[i]: the value of every width-2**i window
+    for i in range(1, k.bit_length()):
+        half = 1 << (i - 1)
+        prev = powers[-1]
+        if i == 3:  # 8 bases: past uint8
+            cur = prev[:-half].astype(np.uint16)
+            cur *= 4**half
+        else:
+            cur = prev[:-half] * 4**half
+        cur |= prev[half:]
+        powers.append(cur)
+    span = (out.size - 1) * stride + 1  # reaches the last window's first base
+    top = k.bit_length() - 1
+    if k > 8:
+        acc = out.view(np.uint32)
+    else:
+        acc = np.empty(out.size, dtype=np.uint8 if k <= 4 else np.uint16)
+    acc[...] = powers[top][:span:stride]
+    first = 1 << top  # the next window part's first base
+    for i in reversed(range(top)):
+        if k >> i & 1:
+            acc *= 4 ** (1 << i)
+            acc |= powers[i][first : first + span : stride]
+            first += 1 << i
+    if k <= 8:
+        out[...] = acc
 
 
 def _span_ids(
-    codes: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, first: int, last: int
+    raw: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, first: int, last: int
 ) -> int:
     """Write the ids of windows ``first`` .. ``last - 1`` to ``core`` from ``core[first]`` on; returns how many.
 
@@ -176,17 +220,14 @@ def _span_ids(
     for start in range(first, last, _VALUE_BLOCK):
         stop = min(start + _VALUE_BLOCK, last)
         vals = core[start:stop]
-        if stride == 1:
-            part = codes[start : stop + k - 1]  # a view: the ufunc work runs GIL-free
-            _kmer_values(part, k, vals)
-        else:
-            part = codes[start * k : stop * k]
-            np.matmul(np.minimum(part.reshape(-1, k), 3, dtype=np.int32), _WEIGHTS[k], out=vals)
+        # a view of the ASCII bases: the ufunc work runs GIL-free
+        part = raw[start : stop + k - 1] if stride == 1 else raw[start * k : stop * k]
+        _kmer_values(part, k, stride, vals)
         if lut is not None:
             lut.take(vals, out=vals)
         has_n = None
         if any_n:
-            is_n = part == _N_CODE
+            is_n = part == _N_BYTE
             if is_n.any():
                 has_n = _n_flags(is_n, k, stride, vals.size)
         if spec.n_mode == N_MODE_DROP:
@@ -226,19 +267,19 @@ def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, t
     n_spans = min(threads, m // _MIN_CHUNK)
     if stride == 1 and n_spans < 2 and len(bases) <= _CORRELATE_MAX:
         return _correlated_ids(bases.encode("ascii"), spec, sentinels)
-    codes = _codes(bases)
+    raw = np.frombuffer(bases.encode("ascii"), dtype=np.uint8)
     any_n = N_CHAR in bases
     pad = int(sentinels)
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
     if n_spans < 2:
-        kept = _span_ids(codes, core, spec, stride, any_n, 0, m)
+        kept = _span_ids(raw, core, spec, stride, any_n, 0, m)
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
 
         bounds = [m * i // n_spans for i in range(n_spans + 1)]
         with ThreadPoolExecutor(max_workers=n_spans) as pool:
-            counts = list(pool.map(partial(_span_ids, codes, core, spec, stride, any_n), bounds[:-1], bounds[1:]))
+            counts = list(pool.map(partial(_span_ids, raw, core, spec, stride, any_n), bounds[:-1], bounds[1:]))
         kept = 0
         for first, count in zip(bounds, counts):
             if first != kept:  # a self-copy of a 3 Mbp record's ids would cost milliseconds

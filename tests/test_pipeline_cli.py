@@ -6,9 +6,12 @@ import os
 import re
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnaprep import (
     DnaSequence,
@@ -19,6 +22,7 @@ from dnaprep import (
     run_pipeline,
     select_targets,
 )
+from dnaprep import core
 from dnaprep.cli import main
 
 
@@ -80,6 +84,20 @@ class TestWindows:
         got = list(iter_windows(seqs, 10))
         assert [w.source_id for w in got] == ["s:0-10", "s:10-20", "s:20-25"]
         assert "".join(w.bases for w in got) == "A" * 25
+
+    @given(st.text(alphabet="ACGTNacgtn", max_size=300), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_each_window_is_the_records_slice_unchecked(self, text, window):
+        record = DnaSequence(text, "r")
+        with mock.patch.object(core, "_validate_bases", side_effect=AssertionError("window bases checked again")):
+            got = list(iter_windows([record], window))
+        n = len(record)
+        if n <= window:
+            assert got == [record] and got[0] is record
+            return
+        want = [DnaSequence(record.bases[s : s + window], f"r:{s}-{min(s + window, n)}") for s in range(0, n, window)]
+        assert got == want
+        assert all(type(w) is DnaSequence and hash(w) == hash(v) for w, v in zip(got, want))
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_is_rejected_before_any_sequence_is_read(self, window):
@@ -539,31 +557,27 @@ class TestCli:
         self._keeps_earlier_output(monkeypatch, args, out, break_write)
 
     def test_failed_vocab_stats_keeps_earlier(self, tmp_path, vocab3_path, monkeypatch, capsys):
-        import csv
+        from dnaprep import vocabstats
 
-        real_writer = csv.writer
+        def half_then_fail(path, *args, **kwargs):
+            # write_stats_csv writes its table in one call: half of it reaches the file, then the disk is full
+            fh = open(path, *args, **kwargs)
+            write = fh.write
 
-        def header_then_fail(fh, **kwargs):
-            writer = real_writer(fh, **kwargs)
+            def half(text):
+                write(text[: len(text) // 2])
+                fh.flush()
+                _raise_no_space()
 
-            class Writer:
-                rows = 0
-
-                def writerow(self, row):
-                    if self.rows:
-                        fh.flush()
-                        _raise_no_space()
-                    self.rows += 1
-                    writer.writerow(row)
-
-            return Writer()
+            fh.write = half
+            return fh
 
         out = tmp_path / "out" / "stats.csv"
         out.parent.mkdir()
         fasta = write_fasta(tmp_path, ">s\nACGTACGTTGCA\n")
         args = ["vocab-stats", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out)]
         self._keeps_earlier_output(
-            monkeypatch, args, out, lambda mp: mp.setattr(csv, "writer", header_then_fail)
+            monkeypatch, args, out, lambda mp: mp.setattr(vocabstats, "open", half_then_fail, raising=False)
         )
 
     def test_failed_benchstats_keeps_earlier(self, tmp_path, monkeypatch, capsys):

@@ -512,9 +512,9 @@ def _two_percent_n(n):
 
 
 def test_stride_one_tokenize_memory_per_base():
-    """``tokenize`` holds the base codes and the ids (with their two
+    """``tokenize`` holds the ASCII bases and the ids (with their two
     sentinel slots) and handles each block's N windows in place, in both
-    modes; the rest is one block's int32 codes and values."""
+    modes; the rest is one block's digits and narrow window values."""
     n = 1 << 20
     seq, n_windows = _two_percent_n(n)
     ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
@@ -751,6 +751,63 @@ class TestWindowKernels:
                         ids = kmer_tokenize_parallel(DnaSequence(bases), spec, 3)
                     assert ids.tolist() == want, (n, layout, n_mode, sentinels, "threads")
 
+
+    def test_digits_come_from_the_ascii_bits(self):
+        digits = tokenizers._digits(np.frombuffer(b"ACGTN", dtype=np.uint8))
+        assert digits.dtype == np.uint8
+        assert digits[:4].tolist() == [0, 1, 2, 3]
+        assert digits[4] < 4  # an N window's value stays inside a culled vocabulary's value table
+
+    @pytest.mark.parametrize("k", [2, 5, 6, 8])
+    def test_n_at_a_block_edge_under_a_culled_table(self, k):
+        """An N in the last base of a block's windows, the first of the next block's, or both."""
+        vocab = oracle_vocab("culled", k)
+        assert vocab.kmer_value_table is not None
+        cases = [(5, [at]) for edge in (5, 10) for at in {edge - 1, edge, edge + k - 2, edge + k - 1}]
+        block = tokenizers._VALUE_BLOCK  # as shipped: one N at each of two edges
+        cases += [(block, [block - 1, 2 * block + k - 1]), (block, [block, 2 * block + k - 2])]
+        for block, ns in cases:
+            bases = list(_crafted_bases(3 * block + k - 1, k, "n_free"))  # three blocks of windows
+            for at in ns:
+                bases[at] = "N"
+            bases = "".join(bases)
+            for n_mode in ("as_unk", "drop"):
+                want = reference_ids(vocab, bases, n_mode, sentinels=False)
+                for sentinels in (False, True):
+                    spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                    with mock.patch.multiple(tokenizers, _CORRELATE_MAX=0, _VALUE_BLOCK=block):
+                        ids = tokenize(DnaSequence(bases), spec).tolist()
+                    if sentinels:
+                        assert ids[0] == vocab.special_id("CLS") and ids[-1] == vocab.special_id("SEP")
+                        ids = ids[1:-1]
+                    assert ids == want, (block, ns, n_mode, sentinels)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_word_n_in_the_dropped_tail(self, k):
+        vocab = identity_vocab("word", k)
+        for whole, tail in itertools.product([0, 1, 4, 7], range(1, k)):
+            bases = _crafted_bases(whole * k, k, "n_free") + "N" * tail
+            for n_mode, sentinels, block in itertools.product(["as_unk", "drop"], [False, True], [3, 1 << 16]):
+                spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
+                    ids = tokenize(DnaSequence(bases), spec)
+                assert ids.tolist() == identity_ids(vocab, bases, k, n_mode, sentinels)
+                assert vocab.unk_id not in ids.tolist()
+
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_parallel_equals_serial(self, k):
+        """Spans on two and three threads, each in blocks, equal the serial ids and the reference."""
+        vocab = identity_vocab("kmer", k)
+        for n, layout in itertools.product([k, 40, 97], _N_LAYOUTS):
+            bases = _crafted_bases(n, k, layout)
+            for n_mode, sentinels in itertools.product(["as_unk", "drop"], [False, True]):
+                spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                want = identity_ids(vocab, bases, 1, n_mode, sentinels)
+                assert kmer_tokenize(DnaSequence(bases), spec).tolist() == want
+                for threads, block in itertools.product([2, 3], [3, 1 << 16]):
+                    with mock.patch.multiple(tokenizers, _MIN_CHUNK=7, _VALUE_BLOCK=block):
+                        ids = kmer_tokenize_parallel(DnaSequence(bases), spec, threads)
+                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, threads, block)
 
 def reference_value_lut(vocab):
     """Id of every k-mer by value, [CULL] (or -1) where the vocabulary lacks it."""

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from dnaprep import (
     tokenize,
 )
 from dnaprep import vocabstats
-from dnaprep.core import CULL_FRACTION_MAX, CULL_TOKEN, SPECIAL_TOKENS, Vocabulary
+from dnaprep.core import CULL_FRACTION_MAX, CULL_TOKEN, SPECIAL_TOKENS, Vocabulary, _with_specials
 from dnaprep.tokenizers import N_MODES
 from dnaprep.vocabstats import write_stats_csv
 from test_tokenizers import bpe_with_n_runs
@@ -387,6 +388,18 @@ class TestSuccessorKeys:
         self.assert_keys(ids, k)
 
 
+    @pytest.mark.parametrize("size", [46_341, 65_535])
+    def test_keys_past_int32_keep_their_bits(self, size):
+        """A BPE-sized vocabulary whose uint32 keys pass 2**31: the int32 pass wraps, the view reads it back."""
+        key_type = np.min_scalar_type(size * size)
+        assert key_type == np.uint32 and size * size - 1 >= 2**31  # the largest key
+        ids = np.array([size - 1, size - 1, 0, size - 1, 1, size - 2, 0], dtype=np.int32)
+        keys = vocabstats._successor_keys(ids, size, key_type)
+        wide = ids.astype(np.int64)
+        assert keys.dtype == np.uint32
+        assert np.array_equal(keys.astype(np.int64), wide[:-1] * size + wide[1:])
+
+
 class TestRunCounts:
     """Counting the runs of a sorted buffer gives np.unique's distinct keys and counts."""
 
@@ -586,3 +599,27 @@ class TestStatsCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "token_id,token,frequency,rel_freq,context_entropy,accuracy,freq_band,acc_band"
         assert len(lines) == len(V3) + 1
+
+    def test_bytes_equal_csv_writer_for_any_token(self, tmp_path):
+        """Tokens that csv quotes, and one it does not, against a table written row by row by csv.writer."""
+        odd = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', ",", "\r\n", " spaced ", "é"]
+        tokens, specials = _with_specials(["A", "C", "G", "T", *odd])
+        vocab = Vocabulary("kmer", tokens, specials, 1)
+        accuracy = {0: 0.5, 5: 1 / 3, 7: 0.0}
+        stats = compute_token_stats([DnaSequence("ACGTTGCAN")], TokenizerSpec(vocab), accuracy)
+        buckets = {0: ("low", "high"), 5: ("mid", "low"), 7: ("high", "high")}
+        for table in (None, buckets):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_stats_csv(got, stats, table)
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(
+                    ["token_id", "token", "frequency", "rel_freq", "context_entropy", "accuracy", "freq_band", "acc_band"]
+                )
+                for s in stats:
+                    acc = "" if s.accuracy is None else f"{s.accuracy:.10g}"
+                    fb, ab = (table or {}).get(s.token_id, ("", ""))
+                    writer.writerow(
+                        [s.token_id, s.token, s.frequency, f"{s.rel_freq:.10g}", f"{s.context_entropy:.10g}", acc, fb, ab]
+                    )
+            assert got.read_bytes() == want.read_bytes()
