@@ -181,11 +181,7 @@ def _kmer_values(raw: np.ndarray, k: int, stride: int, out: np.ndarray) -> None:
     for i in range(1, k.bit_length()):
         half = 1 << (i - 1)
         prev = powers[-1]
-        if i == 3:  # 8 bases: past uint8
-            cur = prev[:-half].astype(np.uint16)
-            cur *= 4**half
-        else:
-            cur = prev[:-half] * 4**half
+        cur = np.multiply(prev[:-half], 4**half, dtype=np.uint16 if i == 3 else np.uint8)  # 8 bases: past uint8
         cur |= prev[half:]
         powers.append(cur)
     span = (out.size - 1) * stride + 1  # reaches the last window's first base
