@@ -3,9 +3,10 @@
 Subcommands: build-vocab, tokenize, mask, guide, leakage, vocab-stats,
 cull, benchstats. Exit codes: 0 ok, 1 usage error, 2 data error,
 3 constraint violation. A flag not given takes the library's default.
-``DNAPREP_SEED`` and ``DNAPREP_THREADS`` override the corresponding
-flags when those are not given; a value that is not an integer is a
-usage error.
+``leakage --m`` with ``--batch``, and a ``build-vocab`` flag of the
+other vocabulary kind, would be ignored, so they are usage errors.
+``DNAPREP_SEED`` stands in for ``--seed`` when that is not given; a
+value that is not an integer is a usage error.
 
 Start-up stays flat as commands are added: importing this module and
 building its parser load only the standard library and ``dnaprep.errors``
@@ -50,6 +51,13 @@ def _given(**settings) -> dict:
     return {name: value for name, value in settings.items() if value is not None}
 
 
+def _refuse_ignored(reason: str, flags: dict) -> None:
+    """A usage error naming each of ``flags`` that was given (neither None nor False) though ``reason`` ignores it."""
+    ignored = [flag for flag, value in flags.items() if value is not None and value is not False]
+    if ignored:
+        raise ConfigError(f"{reason} ignores {' and '.join(ignored)}")
+
+
 def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--vocab", required=True, help="vocabulary JSON file")
     sub.add_argument("--fasta", required=True, help="input FASTA (.gz accepted)")
@@ -60,9 +68,6 @@ def _add_pipeline_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MASK_MODES)
     sub.add_argument("--seed", type=int, help="master seed (env DNAPREP_SEED)")
     sub.add_argument("--window", type=int, help="max window length in bases")
-    sub.add_argument(
-        "--threads", type=int, help="accepted for compatibility; mask/guide run on one thread (env DNAPREP_THREADS)"
-    )
 
 
 def build_parser() -> _Parser:
@@ -130,14 +135,16 @@ def _cmd_build_vocab(args) -> int:
     from .atomic import atomic_output, refuse_input_overwrite
     from .core import build_kmer_vocab
 
-    refuse_input_overwrite([args.out], {"--fasta": args.fasta})
     if args.kind in (KMER, WORD):
+        _refuse_ignored(f"--kind {args.kind}", {"--fasta": args.fasta, "--target-size": args.target_size})
         if args.k is None:
             raise ConfigError("--k is required for kmer/word vocabularies")
         vocab = build_kmer_vocab(args.k, include_n_tokens=args.include_n_tokens, kind=args.kind)
     else:
+        _refuse_ignored("--kind bpe", {"--k": args.k, "--include-n-tokens": args.include_n_tokens})
         if not args.fasta or args.target_size is None:
             raise ConfigError("--fasta and --target-size are required for BPE training")
+        refuse_input_overwrite([args.out], {"--fasta": args.fasta})
         from .fasta import read_fasta
         from .tokenizers import bpe_train
 
@@ -179,7 +186,6 @@ def _cmd_mask(args, tasks: tuple[str, ...] = ()) -> int:
         master_seed=_env_int("DNAPREP_SEED", args.seed),
         sop_reverse_prob=getattr(args, "sop_prob", None),
         window=args.window,
-        threads=_env_int("DNAPREP_THREADS", args.threads),
     )
     result = run_pipeline(PipelineConfig(args.vocab, args.fasta, args.out, guiding=tasks, **settings))
     print(f"{result.n_records} records -> {result.out_path} (sha256 {result.output_digest[:16]})")
@@ -200,6 +206,7 @@ def _cmd_leakage(args) -> int:
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.batch:
+        _refuse_ignored("--batch", {"--m": args.m})
         with open(args.batch, "rb") as fh:
             for line_no, line in enumerate(fh, 1):
                 try:

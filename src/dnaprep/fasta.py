@@ -18,10 +18,9 @@ from __future__ import annotations
 import gzip
 from typing import Iterator
 
-from .core import DnaSequence
+from .core import _UPPER_OR_ZERO, DnaSequence
 from .errors import DataError
 
-_VALID = b"ACGTN"
 _LF = ord("\n")
 _BLOCK = 1 << 20
 
@@ -127,9 +126,9 @@ def _body_lines(path, raw: bytes, lineno: int) -> bytes:
         line = line.rstrip(b"\r")
         if not line:
             continue
-        body = line.upper()
-        if body.translate(None, delete=_VALID):
-            bad = next(bytes([b]) for b in body if b not in _VALID)
-            raise DataError(f"{path}: invalid symbol {bad!r} on line {lineno}")
+        body = line.translate(_UPPER_OR_ZERO)  # core's alphabet: a byte outside it reads 0
+        bad = body.find(0)
+        if bad >= 0:
+            raise DataError(f"{path}: invalid symbol {line[bad : bad + 1].upper()!r} on line {lineno}")
         chunks.append(body)
     return b"".join(chunks)

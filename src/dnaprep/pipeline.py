@@ -5,9 +5,12 @@ length are split before masking, each window keeping its own record).
 Output is byte-identical for identical (inputs, config, seed): every
 random draw derives from (master_seed, window ordinal), windows are
 processed in input order, and the record field order is fixed. Windows
-are processed serially; ``PipelineConfig.threads`` is accepted and
-checked but no longer parallelizes anything, because a thread pool over
-windows ran slower than one thread (the work holds the GIL).
+are processed serially, because a thread pool over windows ran slower
+than one thread (the work holds the GIL). ``PipelineConfig.threads`` is
+still accepted and checked, though it changes nothing, because the
+benchmark harness builds its configs with it. The field goes when the
+manifest gains a format version and the harness stops setting it. The
+CLI has no flag for it.
 
 Each run also writes ``<output>.manifest.json`` echoing the resolved
 configuration, the tool version, and content digests of inputs and
@@ -59,7 +62,7 @@ class PipelineConfig:
     guiding: tuple[str, ...] = ()
     sop_reverse_prob: float = 0.01
     window: int = 512
-    threads: int = 1  # checked, then unused: windows run serially (see module docstring)
+    threads: int = 1  # checked, then unused: kept only for the benchmark harness until a format version lands
 
     def __post_init__(self) -> None:
         for name in ("vocab_path", "fasta_path", "out_path"):

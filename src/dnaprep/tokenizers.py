@@ -80,13 +80,6 @@ def _codes(bases: str) -> np.ndarray:
     return np.frombuffer(bases.encode("ascii").translate(BASE_CODES), dtype=np.uint8)
 
 
-def _sentinels(vocab: Vocabulary, add: bool) -> tuple[list[int], list[int]]:
-    """The ids placed before and after a sequence's tokens: [CLS] and [SEP], or none."""
-    if not add:
-        return [], []
-    return [vocab.special_id("CLS")], [vocab.special_id("SEP")]
-
-
 # A base's k-mer digit on the one-correlate path: its code, with N read as
 # T. The block path reads the same digits of A, C, G and T off the ASCII
 # bits instead (see _digits), and N gives it 0.
@@ -97,10 +90,10 @@ _WEIGHTS = [4 ** np.arange(k - 1, -1, -1, dtype=np.int32) for k in range(MAX_K +
 # Inputs up to this many bases get their stride-1 values from one
 # np.correlate; longer ones, word stride and any input cut into thread
 # spans get them from _kmer_values, a block at a time. Timed on a 2-vCPU
-# host, one call with sentinels on an input holding an N, correlate vs
-# blocks at k = 6: 1024 bases 18.0 vs 24.8 us, 2048 25.8 vs 32.4, 3072
-# 31.9 vs 26.2, 4096 42.8 vs 28.4 (the shift-add kernel before it crossed
-# over between 2048 and 3072 too, at k = 3 and k = 12 as well).
+# host, one 6-mer call with sentinels, correlate vs blocks in alternating
+# rounds: 2048 bases 29.8 vs 30.1 us N-free (0.99x) and 38.8 vs 43.9 us
+# with an N (0.88x); 3072 bases 43.7 vs 35.6 us N-free (1.23x). The
+# host's speed drifts between rounds, so the ratios are what carries over.
 _CORRELATE_MAX = 2048
 # Windows whose values _span_ids builds at once: the digits and the
 # narrow window values of a block stay in cache, and only the int32 ids
@@ -114,19 +107,18 @@ _MIN_CHUNK = 1 << 20
 
 
 def _n_flags(is_n: np.ndarray, k: int, stride: int, m: int) -> np.ndarray:
-    """Whether each of the ``m`` width-k windows holds an N, from the N positions ``is_n``."""
-    if stride != 1:
-        return is_n.reshape(m, k).any(axis=1)
+    """Whether each of the ``m >= 1`` width-k windows at ``stride`` holds an N, from the N positions ``is_n``."""
+    span = (m - 1) * stride + 1  # reaches the last window's first base
     # one in-place OR per digit: ORs that double their span allocate a temporary each pass, and
     # with them the chrom_k6 memory child's peak read 143.2 MB against 135.5
-    has_n = is_n[:m].copy()
+    has_n = is_n[:span:stride].copy()
     for j in range(1, k):
-        has_n |= is_n[j : j + m]
+        has_n |= is_n[j : j + span : stride]
     return has_n
 
 
 def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndarray:
-    """The stride-1 ids of the ASCII bases ``raw`` in as_unk or drop mode, from one np.correlate.
+    """The stride-1 ids of the ASCII bases ``raw``, k or more, in as_unk or drop mode, from one np.correlate.
 
     With sentinels, ``raw`` gains a base at each end, so that the values
     come out with a window more at each end: those two slots take [CLS]
@@ -134,9 +126,6 @@ def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndar
     """
     vocab = spec.vocab
     k = vocab.k
-    if len(raw) < k:
-        head, tail = _sentinels(vocab, sentinels)
-        return np.array(head + tail, dtype=np.int32)
     if sentinels:
         raw = b"A%bA" % raw
     ids = np.correlate(np.frombuffer(raw.translate(_DIGITS), dtype=np.uint8), _WEIGHTS[k])
@@ -217,7 +206,7 @@ def _span_ids(
         stop = min(start + _VALUE_BLOCK, last)
         vals = core[start:stop]
         # a view of the ASCII bases: the ufunc work runs GIL-free
-        part = raw[start : stop + k - 1] if stride == 1 else raw[start * k : stop * k]
+        part = raw[start * stride : (stop - 1) * stride + k]
         _kmer_values(part, k, stride, vals)
         if lut is not None:
             lut.take(vals, out=vals)
@@ -249,19 +238,19 @@ def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, t
     """The spec's ids for ``bases`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
 
     The windows are cut into ``threads`` equal spans, or fewer when they
-    hold fewer whole runs of ``_MIN_CHUNK`` windows. An input of one span
-    and at most ``_CORRELATE_MAX`` bases at stride 1 takes
-    :func:`_correlated_ids`. Otherwise ids are written straight into the
-    returned array, between the slots kept for [CLS] and [SEP]: one span
+    hold fewer whole runs of ``_MIN_CHUNK`` windows. An input of one span,
+    at least one window and at most ``_CORRELATE_MAX`` bases at stride 1
+    takes :func:`_correlated_ids`. Otherwise ids are written straight into
+    the returned array, between the slots kept for [CLS] and [SEP]: one span
     on the calling thread, several on a thread pool, each filling its own
     slice of the array, and in drop mode each span's kept ids are then
     moved down next to the previous span's. Drop mode finally shrinks the
     array to the kept ids.
     """
     vocab = spec.vocab
-    m = max(0, len(bases) - vocab.k + 1) if stride == 1 else len(bases) // vocab.k
+    m = max(0, (len(bases) - vocab.k) // stride + 1)
     n_spans = min(threads, m // _MIN_CHUNK)
-    if stride == 1 and n_spans < 2 and len(bases) <= _CORRELATE_MAX:
+    if stride == 1 and n_spans < 2 and 0 < m and len(bases) <= _CORRELATE_MAX:
         return _correlated_ids(bases.encode("ascii"), spec, sentinels)
     raw = np.frombuffer(bases.encode("ascii"), dtype=np.uint8)
     any_n = N_CHAR in bases
@@ -360,7 +349,7 @@ def _split_at_n(bases: str, spec: TokenizerSpec, encode: Callable[[str], np.ndar
     in every mode.
     """
     vocab = spec.vocab
-    head, tail = _sentinels(vocab, spec.add_sentinels)
+    head, tail = ([vocab.special_id("CLS")], [vocab.special_id("SEP")]) if spec.add_sentinels else ([], [])
     parts = [np.array(head, dtype=np.int32)]
     for run in _N_RUNS.finditer(bases):
         if bases[run.start()] != N_CHAR:

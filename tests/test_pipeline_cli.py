@@ -468,6 +468,17 @@ class TestCli:
             main(["mask", "--vocab"])  # missing value
         assert exc.value.code == 1
 
+    def test_threads_flag_is_refused(self, tmp_path, vocab3_path, capsys):
+        """mask and guide run windows on one thread, so they take no thread count."""
+        fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(out_dir / "o"), "--threads", "2"])
+        assert exc.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_data_error_exit_2(self, tmp_path, vocab3_path, capsys):
         fasta = write_fasta(tmp_path, ">a\nAXGT\n")
         code = main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", str(tmp_path / "o.jsonl")])
@@ -630,7 +641,7 @@ class TestCli:
         assert [rows[t][4] for t in ("ACG", "CGT", "GTA", "TAC")] == ["0"] * 4
         assert not any(row[4] == "-0" for row in rows.values())
 
-    @pytest.mark.parametrize("name", ["DNAPREP_SEED", "DNAPREP_THREADS"])
+    @pytest.mark.parametrize("name", ["DNAPREP_SEED"])
     def test_malformed_env_value_is_a_usage_error(self, tmp_path, vocab3_path, monkeypatch, capsys, name):
         fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n")
         monkeypatch.setenv(name, "abc")
@@ -740,8 +751,21 @@ class TestCli:
                 ["build-vocab", "--kind", "bpe", "--fasta", "{absent}", "--target-size", "0", "--out", "{out}"],
                 "target_size must be >= 4 (the base alphabet), got 0",
             ),
+            (["leakage", "--k", "3", "--m", "5", "--batch", "{absent}"], "--batch ignores --m"),
+            (
+                ["build-vocab", "--kind", "bpe", "--k", "6", "--include-n-tokens", "--fasta", "{absent}",
+                 "--target-size", "8", "--out", "{out}"],
+                "--kind bpe ignores --k and --include-n-tokens",
+            ),
+            (
+                ["build-vocab", "--kind", "kmer", "--k", "2", "--fasta", "{absent}", "--target-size", "9", "--out", "{out}"],
+                "--kind kmer ignores --fasta and --target-size",
+            ),
         ],
-        ids=["leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p", "bpe_target_size"],
+        ids=[
+            "leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p", "bpe_target_size",
+            "leakage_batch_ignores_m", "bpe_ignores_k", "kmer_ignores_bpe_flags",
+        ],
     )
     def test_bad_flag_value_is_a_usage_error_before_any_input(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"
@@ -921,7 +945,6 @@ def test_build_record_rejects_a_mask_id_outside_the_vocabulary():
 def test_a_run_with_no_flags_echoes_the_library_defaults(tmp_path, vocab3_path, monkeypatch, argv, guiding):
     """A flag that is not given takes the library's default, so the CLI and a library run agree."""
     monkeypatch.delenv("DNAPREP_SEED", raising=False)
-    monkeypatch.delenv("DNAPREP_THREADS", raising=False)
     fasta = write_fasta(tmp_path, ">a\n" + "ACGTTGCA" * 90 + "\n")
     out = str(tmp_path / "o.jsonl")
     assert main([*argv, "--vocab", vocab3_path, "--fasta", fasta, "--out", out]) == 0

@@ -602,10 +602,13 @@ def long_bases(draw, max_size=4096):
 
 @functools.lru_cache(maxsize=None)
 def oracle_vocab(kind, k):
-    """A k-mer, word or culled k-mer vocabulary (the shapes the tokenizers treat differently), with N tokens."""
-    if kind != "culled":
+    """A k-mer, word, culled k-mer or culled word vocabulary (the shapes the tokenizers treat differently).
+
+    Each holds the N tokens.
+    """
+    if kind not in ("culled", "culled_word"):
         return build_kmer_vocab(k, include_n_tokens=True, kind=kind)
-    full = build_kmer_vocab(k, include_n_tokens=True)
+    full = build_kmer_vocab(k, include_n_tokens=True, kind="word" if kind == "culled_word" else "kmer")
     gone = frozenset(range(1, 4**k, 7)[: int(0.1 * full.n_nonspecial)])  # k-mers only
     return cull_vocab(full, CullSpec(gone))[0]
 
@@ -760,27 +763,71 @@ class TestWindowKernels:
 
     @pytest.mark.parametrize("k", [2, 5, 6, 8])
     def test_n_at_a_block_edge_under_a_culled_table(self, k):
-        """An N in the last base of a block's windows, the first of the next block's, or both."""
-        vocab = oracle_vocab("culled", k)
-        assert vocab.kmer_value_table is not None
-        cases = [(5, [at]) for edge in (5, 10) for at in {edge - 1, edge, edge + k - 2, edge + k - 1}]
-        block = tokenizers._VALUE_BLOCK  # as shipped: one N at each of two edges
-        cases += [(block, [block - 1, 2 * block + k - 1]), (block, [block, 2 * block + k - 2])]
-        for block, ns in cases:
-            bases = list(_crafted_bases(3 * block + k - 1, k, "n_free"))  # three blocks of windows
-            for at in ns:
-                bases[at] = "N"
-            bases = "".join(bases)
-            for n_mode in ("as_unk", "drop"):
-                want = reference_ids(vocab, bases, n_mode, sentinels=False)
-                for sentinels in (False, True):
-                    spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
-                    with mock.patch.multiple(tokenizers, _CORRELATE_MAX=0, _VALUE_BLOCK=block):
-                        ids = tokenize(DnaSequence(bases), spec).tolist()
-                    if sentinels:
-                        assert ids[0] == vocab.special_id("CLS") and ids[-1] == vocab.special_id("SEP")
-                        ids = ids[1:-1]
-                    assert ids == want, (block, ns, n_mode, sentinels)
+        """An N in the first or last base of a block's last window, of the next block's first, or two of them,
+        at stride 1 and at word stride."""
+        for kind, s in (("culled", 1), ("culled_word", k)):
+            vocab = oracle_vocab(kind, k)
+            assert vocab.kmer_value_table is not None
+
+            def ends(edge):  # the first and last base of the window before ``edge`` and of the window at it
+                return {(edge - 1) * s, edge * s, (edge - 1) * s + k - 1, edge * s + k - 1}
+
+            cases = [(5, [at]) for edge in (5, 10) for at in ends(edge)]
+            block = tokenizers._VALUE_BLOCK  # as shipped: one N at each of two edges
+            cases += [(block, [(block - 1) * s, 2 * block * s + k - 1])]
+            cases += [(block, [block * s, (2 * block - 1) * s + k - 1])]
+            for block, ns in cases:
+                bases = list(_crafted_bases((3 * block - 1) * s + k, k, "n_free"))  # three blocks of windows
+                for at in ns:
+                    bases[at] = "N"
+                bases = "".join(bases)
+                for n_mode in ("as_unk", "drop"):
+                    want = reference_ids(vocab, bases, n_mode, sentinels=False)
+                    for sentinels in (False, True):
+                        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                        with mock.patch.multiple(tokenizers, _CORRELATE_MAX=0, _VALUE_BLOCK=block):
+                            ids = tokenize(DnaSequence(bases), spec).tolist()
+                        if sentinels:
+                            assert ids[0] == vocab.special_id("CLS") and ids[-1] == vocab.special_id("SEP")
+                            ids = ids[1:-1]
+                        assert ids == want, (kind, block, ns, n_mode, sentinels)
+
+    @given(
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(1, 40),
+        st.integers(0, 11),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(k=6, word=False, m=1, tail=0, share=1.0, seed=0)
+    @example(k=6, word=True, m=1, tail=0, share=1.0, seed=0)
+    @example(k=1, word=True, m=7, tail=0, share=1.0, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_n_flags_match_per_window_reference(self, k, word, m, tail, share, seed):
+        """_n_flags at stride 1 and at stride k against any() over each window, with bases past the last window."""
+        stride = k if word else 1
+        n = (m - 1) * stride + k + tail % stride  # a word tail shorter than k holds no window
+        is_n = np.random.default_rng(seed).random(n) < share
+        want = [bool(is_n[w * stride : w * stride + k].any()) for w in range(m)]
+        assert tokenizers._n_flags(is_n, k, stride, m).tolist() == want
+
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_parallel_equals_serial_below_k(self, k):
+        """An input shorter than k gives only the sentinels, on every path and from the threaded encoder."""
+        vocab = identity_vocab("kmer", k)
+        for n, layout in itertools.product(range(k), _N_LAYOUTS):
+            bases = DnaSequence(_crafted_bases(n, k, layout))
+            for n_mode, sentinels in itertools.product(["as_unk", "drop"], [False, True]):
+                spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+                want = identity_ids(vocab, bases.bases, 1, n_mode, sentinels)
+                assert want == ([vocab.special_id("CLS"), vocab.special_id("SEP")] if sentinels else [])
+                for correlate_max in (tokenizers._CORRELATE_MAX, 0):
+                    with mock.patch.multiple(tokenizers, _CORRELATE_MAX=correlate_max, _MIN_CHUNK=1):
+                        serial = kmer_tokenize(bases, spec)
+                        threaded = kmer_tokenize_parallel(bases, spec, 3)
+                    assert serial.dtype == threaded.dtype == np.int32
+                    assert serial.tolist() == threaded.tolist() == want, (n, layout, n_mode, sentinels, correlate_max)
 
     @pytest.mark.parametrize("k", [2, 3, 6, 12])
     def test_word_n_in_the_dropped_tail(self, k):
