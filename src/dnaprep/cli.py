@@ -194,6 +194,8 @@ def _cmd_mask(args, tasks: tuple[str, ...] = ()) -> int:
 
 def _cmd_guide(args) -> int:
     tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
+    if "sop" not in tasks:
+        _refuse_ignored(f"--tasks {','.join(tasks)}", {"--sop-prob": args.sop_prob})
     return _cmd_mask(args, tasks)
 
 

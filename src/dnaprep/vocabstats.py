@@ -8,11 +8,15 @@ computes them. Culling a vocabulary by these statistics is
 :func:`dnaprep.core.cull_vocab`.
 
 Successor pairs are counted a buffer at a time. A full buffer is sorted,
-run-counted and merged into the table of distinct pairs on one worker
-thread (numpy's sort releases the GIL) while the caller reads and
-tokenizes the next records; at most one buffer is in flight, and every
-count is an exact integer sum, so the table is the same as counted in
-series.
+run-counted and merged into the table of distinct pairs by
+:func:`_merge_pairs` on one executor worker (numpy's sort releases the
+GIL) while the caller reads and tokenizes the next records; the last,
+partial buffer goes through the same function on the caller. At most one
+buffer is in flight, and every count is an exact integer sum, so the
+table is the same as counted in series. The caller builds each batch's
+arrays, because a worker thread's malloc arena keeps freed blocks
+resident. No thread outlives the call, and a corpus below one buffer
+starts none.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import csv
 import io
 import math
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +71,12 @@ def compute_token_stats(
     freq = np.zeros(size, dtype=np.int64)
     # the narrowest unsigned type holding every successor key left * size + right
     key_type = np.min_scalar_type(size * size)
-    table = _PairTable(key_type)
+    # the distinct successor keys counted so far, sorted, and their counts
+    keys = np.empty(0, dtype=key_type)
+    counts = np.empty(0, dtype=np.int64)
     buffer: list[np.ndarray] = []
     buffered = 0
+    pool = merging = None
     try:
         for seq in corpus:
             # each record-long array is dropped as soon as it is used, so none
@@ -88,15 +94,23 @@ def compute_token_stats(
                 buffered += pairs.size
                 del pairs
                 if buffered >= _PAIR_BUFFER:
-                    table.add(buffer, on_worker=True)
+                    batch = _batch(buffer)
                     buffered = 0
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor  # here, so that small corpora never load it
+
+                        pool = ThreadPoolExecutor(max_workers=1)
+                    else:
+                        keys, counts = merging.result()  # at most one buffer in flight
+                    merging = pool.submit(_merge_pairs, keys, counts, batch)
     finally:
         # no thread outlives the call; an error from the corpus is the one raised
-        table.wait()
-    table.join()  # raises the worker's error, if any
+        if pool is not None:
+            pool.shutdown()
+    if merging is not None:
+        keys, counts = merging.result()  # raises the worker's error, if any
     if buffer:
-        table.add(buffer)
-    keys, counts = table.keys, table.counts
+        keys, counts = _merge_pairs(keys, counts, _batch(buffer))
     entropy = np.zeros(size, dtype=np.float64)
     if keys.size:
         lefts = (keys // size).astype(np.intp)  # sorted, so each row's successors are contiguous
@@ -156,6 +170,18 @@ def _run_counts(keys: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys[bounds[:-1]], np.diff(bounds)
 
 
+def _batch(buffer: list[np.ndarray]) -> list[np.ndarray]:
+    """The buffered keys as one array and its scratch edges, emptying ``buffer``.
+
+    The caller builds each batch, so that the worker allocates nothing of
+    a record's size: a worker thread's malloc arena keeps freed blocks
+    resident.
+    """
+    keys = buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)
+    buffer.clear()
+    return [keys, np.empty(keys.size + 1, dtype=bool)]
+
+
 def _merge_pairs(keys: np.ndarray, counts: np.ndarray, batch: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Count a batch of successor keys into the sorted (keys, counts) table.
 
@@ -170,55 +196,6 @@ def _merge_pairs(keys: np.ndarray, counts: np.ndarray, batch: list[np.ndarray]) 
     # float sums of integers below 2**53 are exact
     totals = np.bincount(inverse, weights=np.concatenate((counts, new_counts)), minlength=merged.size)
     return merged, totals.astype(np.int64)
-
-
-class _PairTable:
-    """The distinct successor keys counted so far, sorted, and their counts.
-
-    :meth:`add` counts a buffer in, on this thread or on one worker thread.
-    At most one buffer is in flight: each call waits for the worker before
-    it starts the next, and the worker's error is raised in the caller.
-    The worker calls numpy only, and allocates nothing of a record's size:
-    a worker thread's malloc arena keeps freed blocks resident, so the
-    caller makes the batch's arrays.
-    """
-
-    def __init__(self, key_type: np.dtype):
-        self.keys = np.empty(0, dtype=key_type)
-        self.counts = np.empty(0, dtype=np.int64)
-        self._worker: threading.Thread | None = None
-        self._error: BaseException | None = None
-
-    def add(self, buffer: list[np.ndarray], on_worker: bool = False) -> None:
-        """Count the buffered arrays in, emptying ``buffer``."""
-        batch = [buffer.pop() if len(buffer) == 1 else np.concatenate(buffer)]
-        buffer.clear()
-        batch.append(np.empty(batch[0].size + 1, dtype=bool))
-        self.join()
-        if on_worker:
-            self._worker = threading.Thread(target=self._merge_on_worker, args=(batch,))
-            self._worker.start()
-        else:
-            self.keys, self.counts = _merge_pairs(self.keys, self.counts, batch)
-
-    def _merge_on_worker(self, batch: list[np.ndarray]) -> None:
-        try:
-            self.keys, self.counts = _merge_pairs(self.keys, self.counts, batch)
-        except BaseException as exc:  # raised again in the caller by join()
-            self._error = exc
-
-    def wait(self) -> None:
-        """Wait for the worker in flight, if any."""
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
-
-    def join(self) -> None:
-        """Wait for the worker in flight, if any, and raise its error."""
-        self.wait()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
 
 
 def load_accuracy_csv(path, vocab: Vocabulary) -> dict[int, float]:

@@ -158,7 +158,7 @@ class TestRunPipeline:
             vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "out.jsonl")
         )
         result = run_pipeline(cfg)
-        manifest = json.loads(open(result.manifest_path).read())
+        manifest = json.loads(Path(result.manifest_path).read_text())
         assert manifest["tool"] == "dnaprep"
         assert manifest["config"]["master_seed"] == 0
         with open(fasta, "rb") as fh:
@@ -169,7 +169,7 @@ class TestRunPipeline:
 
     def test_manifest_vocab_digest_names_the_vocabulary_used(self, tmp_path, vocab3_path):
         """Rewriting the vocabulary file mid-run leaves the manifest digest on the bytes parsed."""
-        used = open(vocab3_path, "rb").read()
+        used = Path(vocab3_path).read_bytes()
 
         def sequences():
             yield DnaSequence("ACGTACGT", "a")
@@ -180,7 +180,7 @@ class TestRunPipeline:
             vocab_path=vocab3_path, fasta_path=str(tmp_path / "absent.fa"), out_path=str(tmp_path / "out.jsonl")
         )
         result = run_pipeline(cfg, sequences())
-        assert open(vocab3_path, "rb").read() != used
+        assert Path(vocab3_path).read_bytes() != used
         assert result.manifest["inputs"]["vocab"] == hashlib.sha256(used).hexdigest()
 
     def test_manifest_names_no_fasta_when_sequences_are_passed(self, tmp_path, vocab3_path):
@@ -189,9 +189,9 @@ class TestRunPipeline:
         cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "out.jsonl"))
         passed = run_pipeline(cfg, [DnaSequence("ACGTACGT", "a")])
         assert passed.manifest["inputs"]["fasta"] is None
-        assert json.loads(open(passed.manifest_path).read())["inputs"]["fasta"] is None
+        assert json.loads(Path(passed.manifest_path).read_text())["inputs"]["fasta"] is None
         read = run_pipeline(cfg)
-        assert read.manifest["inputs"]["fasta"] == hashlib.sha256(open(fasta, "rb").read()).hexdigest()
+        assert read.manifest["inputs"]["fasta"] == hashlib.sha256(Path(fasta).read_bytes()).hexdigest()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_manifest_fasta_digest_of_a_pipe(self, tmp_path, vocab3_path):
@@ -218,7 +218,7 @@ class TestRunPipeline:
         import dnaprep.fasta
 
         fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCA\n>b\nTTGCAACG\n")
-        read = open(fasta, "rb").read()
+        read = Path(fasta).read_bytes()
         other = write_fasta(tmp_path, ">c\nGGGG\n", name="other.fa")
         real = dnaprep.fasta.read_fasta
 
@@ -231,7 +231,7 @@ class TestRunPipeline:
         monkeypatch.setattr(dnaprep.fasta, "read_fasta", replacing)
         cfg = PipelineConfig(vocab_path=vocab3_path, fasta_path=fasta, out_path=str(tmp_path / "o.jsonl"))
         result = run_pipeline(cfg)
-        assert open(fasta, "rb").read() != read
+        assert Path(fasta).read_bytes() != read
         assert result.n_records == 2
         assert result.manifest["inputs"]["fasta"] == hashlib.sha256(read).hexdigest()
 
@@ -418,7 +418,8 @@ class TestCli:
         fasta = write_fasta(tmp_path, ">a\nACGTACGTTGCAACGT\n")
         stats_out = str(tmp_path / "stats.csv")
         assert main(["vocab-stats", "--vocab", vocab3_path, "--fasta", fasta, "--out", stats_out]) == 0
-        header = open(stats_out).readline().strip()
+        with open(stats_out) as fh:
+            header = fh.readline().strip()
         assert header.startswith("token_id,token,frequency")
         culled_out = str(tmp_path / "culled.json")
         assert main(["cull", "--vocab", vocab3_path, "--remove", "0,1,2", "--out", culled_out]) == 0
@@ -426,7 +427,7 @@ class TestCli:
 
         culled = Vocabulary.load(culled_out)
         assert culled.cull_id is not None
-        remap = json.loads(open(culled_out + ".remap.json").read())
+        remap = json.loads(Path(culled_out + ".remap.json").read_text())
         assert remap["0"] == culled.cull_id
 
     def test_cull_bound_exit_code(self, tmp_path, vocab3_path, capsys):
@@ -460,7 +461,7 @@ class TestCli:
         assert code == 0
         table = capsys.readouterr().out
         assert "selected:" in table
-        payload = json.loads(open(report_out).read())
+        payload = json.loads(Path(report_out).read_text())
         assert set(payload["datasets"]) == {"d0", "d1", "d2", "d3"}
 
     def test_usage_error_exit_1(self, capsys):
@@ -492,7 +493,7 @@ class TestCli:
         assert main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", out_a]) == 0
         monkeypatch.delenv("DNAPREP_SEED")
         assert main(["mask", "--vocab", vocab3_path, "--fasta", fasta, "--out", out_b, "--seed", "777"]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     @pytest.mark.parametrize(
         "fasta_text", [">a\nACGTACGTTGCA\n>b\nACGTXACGT\n", None], ids=["bad_symbol", "missing_fasta"]
@@ -761,10 +762,15 @@ class TestCli:
                 ["build-vocab", "--kind", "kmer", "--k", "2", "--fasta", "{absent}", "--target-size", "9", "--out", "{out}"],
                 "--kind kmer ignores --fasta and --target-size",
             ),
+            (
+                ["guide", "--vocab", "{absent}", "--fasta", "{absent}", "--out", "{out}", "--tasks", "csp,mst",
+                 "--sop-prob", "0.5"],
+                "--tasks csp,mst ignores --sop-prob",
+            ),
         ],
         ids=[
             "leakage_k", "leakage_m", "leakage_batch_k", "cull_remove", "tokenize_window", "mask_p", "bpe_target_size",
-            "leakage_batch_ignores_m", "bpe_ignores_k", "kmer_ignores_bpe_flags",
+            "leakage_batch_ignores_m", "bpe_ignores_k", "kmer_ignores_bpe_flags", "guide_without_sop_ignores_sop_prob",
         ],
     )
     def test_bad_flag_value_is_a_usage_error_before_any_input(self, tmp_path, capsys, argv, message):

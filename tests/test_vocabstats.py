@@ -298,6 +298,28 @@ class TestPairBuffer:
         assert len(done) == 1
         assert threading.active_count() == before
 
+    def test_an_interrupt_during_a_merge_waits_for_the_worker(self):
+        # the corpus raises KeyboardInterrupt while the worker merges the
+        # first record; it propagates only once the worker is done
+        merge = vocabstats._merge_pairs
+        done = []
+
+        def slow(*args):
+            time.sleep(0.2)
+            done.append(merge(*args))
+            return done[-1]
+
+        def corpus():
+            yield DnaSequence("ACGT" * 400)
+            raise KeyboardInterrupt
+
+        before = threading.active_count()
+        with mock.patch.object(vocabstats, "_merge_pairs", slow), mock.patch.object(vocabstats, "_PAIR_BUFFER", 1000):
+            with pytest.raises(KeyboardInterrupt):
+                compute_token_stats(corpus(), TokenizerSpec(V3))
+        assert len(done) == 1
+        assert threading.active_count() == before
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
     def test_peak_memory_does_not_grow_with_the_corpus(self):
         # Each run is a fresh process that reads its own VmHWM; eight 1 Mbp
@@ -309,15 +331,17 @@ class TestPairBuffer:
 
 @contextmanager
 def _workers_seen():
-    """The threads that count a buffer on the worker while the block runs."""
+    """The threads other than the caller's that run ``_merge_pairs`` while the block runs."""
     seen = []
-    merge = vocabstats._PairTable._merge_on_worker
+    caller = threading.current_thread()
+    merge = vocabstats._merge_pairs
 
-    def recording(table, batch):
-        seen.append(threading.current_thread())
-        merge(table, batch)
+    def recording(*args):
+        if threading.current_thread() is not caller:
+            seen.append(threading.current_thread())
+        return merge(*args)
 
-    with mock.patch.object(vocabstats._PairTable, "_merge_on_worker", recording):
+    with mock.patch.object(vocabstats, "_merge_pairs", recording):
         yield seen
 
 
