@@ -24,7 +24,6 @@ only a bucket of positions per rank.
 from __future__ import annotations
 
 import heapq
-import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -45,9 +44,6 @@ from .core import (
     bpe_vocab_from_merges,
 )
 from .errors import ConfigError, DataError
-
-_N_RUNS = re.compile(f"{N_CHAR}+|[^{N_CHAR}]+")
-
 
 @dataclass(frozen=True)
 class TokenizerSpec:
@@ -100,6 +96,16 @@ _CORRELATE_MAX = 2048
 # span the whole input.
 _VALUE_BLOCK = 1 << 16
 
+# An as_unk input's N runs are walked (_n_run_windows) until more than one
+# run per _N_WALK_WINDOWS windows read, past _N_WALK_SLACK windows, has
+# been found; the windows past that point are flagged as a whole. On a
+# 2-vCPU host, 6-mers on 3 Mbp records: a walked run cost 0.74-0.87 us
+# and flagging 0.41-0.42 ns per base, so they meet at one run per
+# ~1,800-2,100 bases; one run on a 2,048-base input cost 1.7 us walked
+# against 7.8 us flagged.
+_N_WALK_WINDOWS = 1024
+_N_WALK_SLACK = 1024
+
 # Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
 # 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
 # 1 M and 1.18-1.21x with 2 M (6-mers, three medians of repeated calls).
@@ -117,12 +123,59 @@ def _n_flags(is_n: np.ndarray, k: int, stride: int, m: int) -> np.ndarray:
     return has_n
 
 
+def _n_runs(raw: bytes) -> Iterator[tuple[int, int]]:
+    """Each run of N in the ASCII bases ``raw``, in order, as ``(start, stop)``.
+
+    ``bytes.find`` finds a run's first N, and the run stops at the nearest
+    A, C, G or T after it. Each letter's place is looked for again only
+    once a run starts past the one last found, so no stretch of bases is
+    searched twice for the same letter.
+    """
+    size = len(raw)
+    nearest = [-1, -1, -1, -1]  # where A, C, G and T were last found; ``size`` if nowhere
+    start = raw.find(_N_BYTE)
+    while start >= 0:
+        stop = start + 1
+        if stop < size and raw[stop] == _N_BYTE:  # more than one N
+            for i, letter in enumerate(b"ACGT"):
+                if nearest[i] < start:
+                    at = raw.find(letter, start)
+                    nearest[i] = size if at < 0 else at
+            stop = min(nearest)
+        yield start, stop
+        start = raw.find(_N_BYTE, stop)
+
+
+def _n_run_windows(raw: bytes, k: int, stride: int, m: int) -> tuple[list[tuple[int, int]], int]:
+    """The windows of each N run in ``raw``, as slices of its ``m`` windows, and the first window left to the mask.
+
+    A run of bases s .. e - 1 touches windows (s - k) // stride + 1 ..
+    ceil(e / stride) - 1, clipped to the m windows. The walk gives up at the first
+    run that makes more than one per ``_N_WALK_WINDOWS`` windows read, past
+    ``_N_WALK_SLACK`` windows: the slices found so far are returned with
+    that run's first window, from which the caller flags N windows with
+    :func:`_n_flags`. A walk that sees every run returns ``m``.
+    """
+    runs: list[tuple[int, int]] = []
+    for start, stop in _n_runs(raw):
+        first = (start - k) // stride + 1
+        if first < 0:
+            first = 0
+        if (len(runs) + 1) * _N_WALK_WINDOWS > start // stride + _N_WALK_SLACK:
+            return runs, first
+        last = -(-stop // stride)
+        runs.append((first, last if last < m else m))
+    return runs, m
+
+
 def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndarray:
     """The stride-1 ids of the ASCII bases ``raw``, k or more, in as_unk or drop mode, from one np.correlate.
 
     With sentinels, ``raw`` gains a base at each end, so that the values
     come out with a window more at each end: those two slots take [CLS]
-    and [SEP]. The N windows are flagged only when ``raw`` holds an N.
+    and [SEP]. Only an input that holds an N does any N work: as_unk
+    writes [UNK] over its N runs' windows, or flags every window once
+    the runs are too dense for that; drop flags every window.
     """
     vocab = spec.vocab
     k = vocab.k
@@ -132,14 +185,19 @@ def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndar
     lut = vocab.kmer_value_table
     if lut is not None:
         ids = lut.take(ids)
-    if b"N" in raw:
-        has_n = _n_flags(np.frombuffer(raw, dtype=np.uint8) == _N_BYTE, k, 1, ids.size)
-        if spec.n_mode == N_MODE_DROP:
-            if sentinels:
-                has_n[0] = has_n[-1] = False
-            ids = ids[~has_n]
+    if _N_BYTE in raw:
+        runs, mask_from = _n_run_windows(raw, k, 1, ids.size) if spec.n_mode == N_MODE_AS_UNK else ([], 0)
+        if mask_from < ids.size:
+            has_n = _n_flags(np.frombuffer(raw, dtype=np.uint8) == _N_BYTE, k, 1, ids.size)
+            if spec.n_mode == N_MODE_DROP:
+                if sentinels:
+                    has_n[0] = has_n[-1] = False
+                ids = ids[~has_n]
+            else:
+                ids[has_n] = vocab.unk_id
         else:
-            ids[has_n] = vocab.unk_id
+            for first, last in runs:
+                ids[first:last].fill(vocab.unk_id)
     if sentinels:
         ids[0], ids[-1] = vocab.special_id("CLS"), vocab.special_id("SEP")
     return ids
@@ -191,13 +249,15 @@ def _kmer_values(raw: np.ndarray, k: int, stride: int, out: np.ndarray) -> None:
 
 
 def _span_ids(
-    raw: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, any_n: bool, first: int, last: int
+    raw: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, mask_from: int, first: int, last: int
 ) -> int:
     """Write the ids of windows ``first`` .. ``last - 1`` to ``core`` from ``core[first]`` on; returns how many.
 
     A block of ``_VALUE_BLOCK`` windows is built at a time, so that only
-    ``core`` spans the whole input. Drop mode compacts each block's kept
-    windows in place, down to the span's previous kept id.
+    ``core`` spans the whole input. A block that reaches past window
+    ``mask_from`` flags its N windows: as_unk writes [UNK] over them, and
+    drop compacts the block's kept windows in place, down to the span's
+    previous kept id.
     """
     vocab = spec.vocab
     k, lut = vocab.k, vocab.kmer_value_table
@@ -211,7 +271,7 @@ def _span_ids(
         if lut is not None:
             lut.take(vals, out=vals)
         has_n = None
-        if any_n:
+        if stop > mask_from:
             is_n = part == _N_BYTE
             if is_n.any():
                 has_n = _n_flags(is_n, k, stride, vals.size)
@@ -227,49 +287,66 @@ def _span_ids(
     return kept - first
 
 
-def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1) -> np.ndarray:
-    """The spec's ids for ``bases`` at ``stride``: seg_n mode per N-free run, the other modes at once."""
-    if spec.n_mode == N_MODE_SEG:
-        return _split_at_n(bases, spec, lambda run: _window_ids(run, spec, stride, sentinels=False))
-    return _window_ids(bases, spec, stride, spec.add_sentinels, threads)
+def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1, whole: bool = True) -> np.ndarray:
+    """The spec's ids for ``bases`` at ``stride``: the one step that picks the k-mer and word encoders' path.
+
+    seg_n mode splits ``bases`` at N and sends each N-free stretch back
+    through this step as a part (``whole`` false): no sentinels, no split.
+    An input of k to ``_CORRELATE_MAX`` bases at stride 1, on one span,
+    takes :func:`_correlated_ids`; any other takes :func:`_window_ids`.
+    """
+    if whole and spec.n_mode == N_MODE_SEG:
+        return _split_at_n(bases, spec, partial(_fixed_width_ids, spec=spec, stride=stride, whole=False))
+    k = spec.vocab.k
+    if stride == 1 and k <= len(bases) <= _CORRELATE_MAX and (threads == 1 or len(bases) - k < 2 * _MIN_CHUNK - 1):
+        return _correlated_ids(bases.encode("ascii"), spec, whole and spec.add_sentinels)
+    return _window_ids(bases, spec, stride, whole and spec.add_sentinels, threads)
 
 
 def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, threads: int = 1) -> np.ndarray:
-    """The spec's ids for ``bases`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+    """The block kernel's ids for ``bases`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
 
     The windows are cut into ``threads`` equal spans, or fewer when they
-    hold fewer whole runs of ``_MIN_CHUNK`` windows. An input of one span,
-    at least one window and at most ``_CORRELATE_MAX`` bases at stride 1
-    takes :func:`_correlated_ids`. Otherwise ids are written straight into
-    the returned array, between the slots kept for [CLS] and [SEP]: one span
-    on the calling thread, several on a thread pool, each filling its own
-    slice of the array, and in drop mode each span's kept ids are then
-    moved down next to the previous span's. Drop mode finally shrinks the
-    array to the kept ids.
+    hold fewer whole runs of ``_MIN_CHUNK`` windows. Ids are written
+    straight into the returned array, between the slots kept for [CLS]
+    and [SEP]: one span on the calling thread, several on a thread pool,
+    each filling its own slice of the array, and in drop mode each span's
+    kept ids are then moved down next to the previous span's. Drop mode
+    finally shrinks the array to the kept ids. An as_unk input's N runs
+    are walked first, and [UNK] written over their windows once every
+    span is done; the blocks past the point where the walk gave up, and
+    every block of a drop input that holds an N, flag their N windows.
     """
     vocab = spec.vocab
     m = max(0, (len(bases) - vocab.k) // stride + 1)
     n_spans = min(threads, m // _MIN_CHUNK)
-    if stride == 1 and n_spans < 2 and 0 < m and len(bases) <= _CORRELATE_MAX:
-        return _correlated_ids(bases.encode("ascii"), spec, sentinels)
-    raw = np.frombuffer(bases.encode("ascii"), dtype=np.uint8)
-    any_n = N_CHAR in bases
+    encoded = bases.encode("ascii")
+    raw = np.frombuffer(encoded, dtype=np.uint8)
+    runs: list[tuple[int, int]] = []
+    mask_from = m
+    if _N_BYTE in encoded:
+        if spec.n_mode == N_MODE_DROP:
+            mask_from = 0
+        else:
+            runs, mask_from = _n_run_windows(encoded, vocab.k, stride, m)
     pad = int(sentinels)
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
     if n_spans < 2:
-        kept = _span_ids(raw, core, spec, stride, any_n, 0, m)
+        kept = _span_ids(raw, core, spec, stride, mask_from, 0, m)
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
 
         bounds = [m * i // n_spans for i in range(n_spans + 1)]
         with ThreadPoolExecutor(max_workers=n_spans) as pool:
-            counts = list(pool.map(partial(_span_ids, raw, core, spec, stride, any_n), bounds[:-1], bounds[1:]))
+            counts = list(pool.map(partial(_span_ids, raw, core, spec, stride, mask_from), bounds[:-1], bounds[1:]))
         kept = 0
         for first, count in zip(bounds, counts):
             if first != kept:  # a self-copy of a 3 Mbp record's ids would cost milliseconds
                 core[kept : kept + count] = core[first : first + count]  # memmove-like: no temporary
             kept += count
+    for first, last in runs:  # as_unk only: nothing was dropped
+        core[first:last].fill(vocab.unk_id)
     if pad:
         out[0], out[pad + kept] = vocab.special_id("CLS"), vocab.special_id("SEP")
     if kept < m:
@@ -342,22 +419,26 @@ def _cover_n_run(length: int, cover: tuple[tuple[int, int], ...]) -> np.ndarray:
 def _split_at_n(bases: str, spec: TokenizerSpec, encode: Callable[[str], np.ndarray]) -> np.ndarray:
     """The spec's ids for ``bases``, split at N: each N-free stretch encoded by ``encode``.
 
-    Each N run then follows the spec's N mode: seg_n covers it with the
-    N-run tokens, as_unk gives one [UNK] per N and drop gives nothing.
-    No token spans an N. k-mer and word tokenizers take this path in
-    seg_n mode only (their as_unk and drop act per window); BPE takes it
-    in every mode.
+    Each N run (from :func:`_n_runs`) then follows the spec's N mode:
+    seg_n covers it with the N-run tokens, as_unk gives one [UNK] per N
+    and drop gives nothing. No token spans an N. k-mer and word
+    tokenizers take this path in seg_n mode only (their as_unk and drop
+    act per window); BPE takes it in every mode.
     """
     vocab = spec.vocab
     head, tail = ([vocab.special_id("CLS")], [vocab.special_id("SEP")]) if spec.add_sentinels else ([], [])
     parts = [np.array(head, dtype=np.int32)]
-    for run in _N_RUNS.finditer(bases):
-        if bases[run.start()] != N_CHAR:
-            parts.append(encode(run[0]))
-        elif spec.n_mode == N_MODE_SEG:
-            parts.append(_cover_n_run(run.end() - run.start(), vocab.n_run_cover))
+    done = 0  # the bases before this are encoded
+    for start, stop in _n_runs(bases.encode("ascii")):
+        if done < start:
+            parts.append(encode(bases[done:start]))
+        if spec.n_mode == N_MODE_SEG:
+            parts.append(_cover_n_run(stop - start, vocab.n_run_cover))
         elif spec.n_mode == N_MODE_AS_UNK:
-            parts.append(np.full(run.end() - run.start(), vocab.unk_id, dtype=np.int32))
+            parts.append(np.full(stop - start, vocab.unk_id, dtype=np.int32))
+        done = stop
+    if done < len(bases):
+        parts.append(encode(bases[done:]))
     parts.append(np.array(tail, dtype=np.int32))
     return np.concatenate(parts)
 

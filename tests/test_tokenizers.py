@@ -221,6 +221,39 @@ class TestSegmentWithN:
         ids = kmer_tokenize(DnaSequence("ACGNNTAC"), TokenizerSpec(vocab, n_mode="seg_n"))
         assert toks(vocab, ids) == ["AC", "CG", "NN", "TA", "AC"]
 
+    @given(
+        st.text(alphabet="ACGTN", max_size=200), st.sampled_from(["kmer_seg_n", "bpe_as_unk", "bpe_drop"]), st.booleans()
+    )
+    @example(bases="", mode="kmer_seg_n", sentinels=True)
+    @example(bases="NNNN", mode="bpe_as_unk", sentinels=False)
+    @example(bases="NACGTNNACN", mode="kmer_seg_n", sentinels=False)
+    @example(bases="NACGTNNACN", mode="bpe_drop", sentinels=True)
+    @settings(max_examples=300, deadline=None)
+    def test_split_at_n_matches_a_regex_split(self, bases, mode, sentinels):
+        """The stretches handed to ``encode`` and the N runs' tokens are those of a regex split at N runs."""
+        kind, n_mode = mode.split("_", 1)
+        vocab = build_kmer_vocab(3, include_n_tokens=True) if kind == "kmer" else _BPE_N
+        spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
+        seen = []
+
+        def encode(stretch):
+            seen.append(stretch)
+            return np.full(len(stretch), -1, dtype=np.int32)
+
+        ids = tokenizers._split_at_n(bases, spec, encode)
+        runs = [run[0] for run in re.finditer("N+|[^N]+", bases)]
+        assert seen == [run for run in runs if run[0] != "N"]
+        want = [vocab.special_id("CLS")] if sentinels else []
+        for run in runs:
+            if run[0] != "N":
+                want += [-1] * len(run)
+            elif n_mode == "seg_n":
+                want += tokenizers._cover_n_run(len(run), vocab.n_run_cover).tolist()
+            elif n_mode == "as_unk":
+                want += [vocab.unk_id] * len(run)
+        want += [vocab.special_id("SEP")] if sentinels else []
+        assert ids.dtype == np.int32 and ids.tolist() == want
+
     def test_seg_mode_requires_n_tokens(self):
         vocab = build_kmer_vocab(2)
         with pytest.raises(ConfigError):
@@ -502,30 +535,36 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def _two_percent_n(n):
-    """``n`` random bases, 2% of them N, and the number of 6-mer windows holding an N."""
+def _two_percent_n(n, share=0.02):
+    """``n`` random bases, ``share`` of them N (2% unless given), and the number of 6-mer windows holding an N."""
     rng = np.random.default_rng(1)
     codes = rng.integers(0, 4, n).astype(np.uint8)
-    codes[rng.random(n) < 0.02] = 4
+    codes[rng.random(n) < share] = 4
     n_windows = int((np.convolve(codes == 4, np.ones(6, dtype=int), "valid") > 0).sum())
     return DnaSequence(np.frombuffer(b"ACGTN", dtype=np.uint8)[codes].tobytes().decode("ascii")), n_windows
 
 
+# 2% scattered N, whose windows _n_flags flags block by block, and one N per ~5 kb, which the N walk takes
+_MEMORY_N_SHARES = (0.02, 0.0002)
+
+
 def test_stride_one_tokenize_memory_per_base():
     """``tokenize`` holds the ASCII bases and the ids (with their two
-    sentinel slots) and handles each block's N windows in place, in both
-    modes; the rest is one block's digits and narrow window values."""
+    sentinel slots) and handles each block's N windows in place, or the
+    N runs' windows, in both modes; the rest is one block's digits and
+    narrow window values."""
     n = 1 << 20
-    seq, n_windows = _two_percent_n(n)
-    ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
-    assert ids.size == n - 3
-    assert peak / n < 5.5
-    spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
-    ids, peak = _peak_bytes(tokenize, seq, spec)
-    assert ids.size == n - 3 - n_windows
-    assert peak / n < 5.75
-    # the dropped windows' slots are given back: the ids own exactly their own bytes
-    assert ids.base is None and ids.nbytes == 4 * ids.size
+    for share in _MEMORY_N_SHARES:
+        seq, n_windows = _two_percent_n(n, share)
+        ids, peak = _peak_bytes(tokenize, seq, TokenizerSpec(build_kmer_vocab(6), add_sentinels=True))
+        assert ids.size == n - 3
+        assert peak / n < 5.5, share
+        spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
+        ids, peak = _peak_bytes(tokenize, seq, spec)
+        assert ids.size == n - 3 - n_windows
+        assert peak / n < 5.75, share
+        # the dropped windows' slots are given back: the ids own exactly their own bytes
+        assert ids.base is None and ids.nbytes == 4 * ids.size
 
 
 def test_threaded_tokenize_memory_per_base():
@@ -534,16 +573,17 @@ def test_threaded_tokenize_memory_per_base():
     (This module imports ``concurrent.futures`` itself, so the pool's
     first import is not part of the peak.)"""
     n = 2 * tokenizers._MIN_CHUNK + 5  # exactly two spans' worth of 6-mer windows
-    seq, n_windows = _two_percent_n(n)
-    spec = TokenizerSpec(build_kmer_vocab(6), add_sentinels=True)
-    ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
-    assert ids.size == n - 3
-    assert peak / n < 5.5
-    spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
-    ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
-    assert ids.size == n - 3 - n_windows
-    assert peak / n < 5.75
-    assert ids.base is None and ids.nbytes == 4 * ids.size
+    for share in _MEMORY_N_SHARES:
+        seq, n_windows = _two_percent_n(n, share)
+        spec = TokenizerSpec(build_kmer_vocab(6), add_sentinels=True)
+        ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
+        assert ids.size == n - 3
+        assert peak / n < 5.5, share
+        spec = TokenizerSpec(build_kmer_vocab(6), n_mode="drop", add_sentinels=True)
+        ids, peak = _peak_bytes(kmer_tokenize_parallel, seq, spec, 2)
+        assert ids.size == n - 3 - n_windows
+        assert peak / n < 5.75, share
+        assert ids.base is None and ids.nbytes == 4 * ids.size
 
 
 # -- window-kernel oracles ---------------------------------------------------
@@ -629,13 +669,32 @@ def identity_vocab(kind, k):
     return vocab
 
 
-_N_LAYOUTS = ["n_free", "n_first", "n_last", "run_below_k", "run_above_k", "all_n", "n_rich"]
+_N_LAYOUTS = [
+    "n_free",
+    "n_first",
+    "n_last",
+    "run_below_k",
+    "run_above_k",
+    "all_n",
+    "n_rich",
+    "runs_at_both_ends",
+    "next_to_sentinels",
+    "runs_within_k",
+    "run_across_block_edge",
+    "run_longer_than_block",
+]
+_CRAFTED_BLOCK = 3  # windows per block where a test patches _VALUE_BLOCK to a few windows
 
 
-def _crafted_bases(n, k, layout):
-    """``n`` seeded random bases with the N layout named ``layout``."""
+def _crafted_bases(n, k, layout, stride=1):
+    """``n`` seeded random bases with the N layout named ``layout``.
+
+    The block layouts are laid out for blocks of ``_CRAFTED_BLOCK``
+    windows at ``stride``.
+    """
     rng = np.random.default_rng((n, k, _N_LAYOUTS.index(layout)))
     codes = rng.integers(0, 4, n)
+    edge = _CRAFTED_BLOCK * stride  # the first base of the second block's first window
     if layout == "n_first":
         codes[:1] = 4
     elif layout == "n_last":
@@ -648,6 +707,16 @@ def _crafted_bases(n, k, layout):
         codes[:] = 4
     elif layout == "n_rich":
         codes[rng.random(n) < 0.3] = 4
+    elif layout == "runs_at_both_ends":
+        codes[:2] = codes[-2:] = 4
+    elif layout == "next_to_sentinels":  # the last base of the first window and the first base of the last
+        codes[min(k, n) - 1 :: max(n - 2 * k + 1, 1)][:2] = 4
+    elif layout == "runs_within_k":  # k - 1 bases apart: windows that hold both
+        codes[n // 3 : n // 3 + 1] = codes[n // 3 + k : n // 3 + k + 1] = 4
+    elif layout == "run_across_block_edge":
+        codes[edge - 1 : edge + 1] = 4
+    elif layout == "run_longer_than_block":
+        codes[edge - 1 : edge + 2 * edge + k] = 4
     return "".join("ACGTN"[c] for c in codes)
 
 
@@ -666,6 +735,11 @@ def window_ids(bases, k, stride):
     vocab = identity_vocab("kmer" if stride == 1 else "word", k)
     ids = tokenizers._window_ids(bases, TokenizerSpec(vocab), stride, sentinels=False)
     return ids, identity_ids(vocab, bases, stride, "as_unk", sentinels=False)
+
+
+# _N_WALK_WINDOWS as shipped, patched so that the N walk never gives up, and patched so that it gives
+# up at the first run (every input with an N flags its windows with _n_flags)
+_N_WALKS = [tokenizers._N_WALK_WINDOWS, 0, 1 << 40]
 
 
 class TestWindowKernels:
@@ -696,35 +770,51 @@ class TestWindowKernels:
     def test_ids_match_per_kmer_reference(self, bases, kind, k, n_mode, sentinels, block):
         vocab = oracle_vocab(kind, k)
         spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
-        with mock.patch.object(tokenizers, "_VALUE_BLOCK", block):
-            ids = tokenize(DnaSequence(bases), spec)
-        assert ids.dtype == np.int32 and ids.base is None
-        assert ids.tolist() == reference_ids(vocab, bases, n_mode, sentinels)
+        want = reference_ids(vocab, bases, n_mode, sentinels)
+        for walk in _N_WALKS:
+            with mock.patch.multiple(tokenizers, _VALUE_BLOCK=block, _N_WALK_WINDOWS=walk):
+                ids = tokenize(DnaSequence(bases), spec)
+            assert ids.dtype == np.int32 and ids.base is None
+            assert ids.tolist() == want, walk
 
     def test_n_free_input_skips_the_flag_pass(self):
+        """N-free input does no N work; one N per ~5 kb takes the walk and no _n_flags; 2% scattered N takes
+        _n_flags, on both paths."""
         spec = TokenizerSpec(build_kmer_vocab(4), add_sentinels=True)
+        rng = np.random.default_rng(3)
+        sparse = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 50_000)].copy()
+        sparse[rng.integers(0, sparse.size, 10)] = ord("N")
+        dense, _ = _two_percent_n(50_000)
         for correlate_max in (1 << 30, 0):  # the one-correlate path, then the block path
             with mock.patch.object(tokenizers, "_CORRELATE_MAX", correlate_max):
-                with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
-                    ids = tokenize(DnaSequence("ACGTTGCA" * 40), spec)
-                assert ids.size == 320 - 3 + 2
-                with pytest.raises(AssertionError, match="flag pass ran"):
-                    with mock.patch.object(tokenizers, "_n_flags", side_effect=AssertionError("flag pass ran")):
-                        tokenize(DnaSequence("ACGTNGCA" * 40), spec)
+                for bases, walks, flags in [
+                    ("ACGTTGCA" * 40, False, False),
+                    (sparse.tobytes().decode(), True, False),
+                    (sparse[:2000].tobytes().decode().replace("N", "A") + "N" + "ACGT" * 10, True, False),
+                    (dense.bases, True, True),
+                ]:
+                    seq = DnaSequence(bases)
+                    with mock.patch.object(tokenizers, "_n_runs", wraps=tokenizers._n_runs) as runs:
+                        with mock.patch.object(tokenizers, "_n_flags", wraps=tokenizers._n_flags) as flagged:
+                            ids = tokenize(seq, spec)
+                    assert (runs.called, flagged.called) == (walks, flags), (len(bases), correlate_max)
+                    assert ids.tolist() == identity_ids(spec.vocab, bases, 1, "as_unk", sentinels=True)
 
     # 4**k tokens are too many to build and cull past k = 8
     @pytest.mark.parametrize(
         "kind, k", [(kind, k) for kind in ("kmer", "word", "culled") for k in range(1, MAX_K + 1) if kind != "culled" or k <= 8]
     )
     def test_crafted_inputs_on_every_path(self, kind, k):
-        """N at either end, N runs shorter and longer than k and all-N input,
-        at lengths below, at and above k and on both sides of each size
-        crossover, through each path that a crossover picks, patched both
-        ways: one correlate or blocks, one block or several, one span or
-        threads."""
+        """N at either end or next to the sentinel slots, N runs shorter and
+        longer than k, within k - 1 bases of each other, across a patched
+        block edge or longer than a block, and all-N input, at lengths
+        below, at and above k and on both sides of each size crossover,
+        through each path that a crossover picks, patched both ways: one
+        correlate or blocks, one block or several, one span or threads,
+        and the N walk as shipped, never giving up or giving up at once."""
         vocab = oracle_vocab(kind, k) if kind == "culled" else identity_vocab(kind, k)
         stride = k if kind == "word" else 1
-        block = 3  # windows per block when patched: inputs of block - 1 .. block + 1 windows below
+        block = _CRAFTED_BLOCK  # windows per block when patched: inputs of block - 1 .. block + 1 windows below
         lengths = {0, 1, k - 1, k, k + 1, 2 * k, 3 * k + 1, 97}
         lengths |= {(block + d) * stride + (k - 1 if stride == 1 else 0) for d in (-1, 0, 1)}
         if stride == 1:
@@ -736,7 +826,7 @@ class TestWindowKernels:
             {"_CORRELATE_MAX": 0, "_VALUE_BLOCK": block},
         ]
         for n, layout in itertools.product(sorted(lengths), _N_LAYOUTS):
-            bases = _crafted_bases(n, k, layout)
+            bases = _crafted_bases(n, k, layout, stride)
             for n_mode, sentinels in itertools.product(["as_unk", "drop"], [False, True]):
                 spec = TokenizerSpec(vocab, n_mode=n_mode, add_sentinels=sentinels)
                 if kind == "culled":
@@ -744,15 +834,16 @@ class TestWindowKernels:
                 else:
                     want = identity_ids(vocab, bases, stride, n_mode, sentinels)
                 small = n < 100  # blocks of a few windows: a long input would take hundreds
-                for patches in paths if small else paths[:3]:
-                    with mock.patch.multiple(tokenizers, **patches):
+                for patches, walk in itertools.product(paths if small else paths[:3], _N_WALKS):
+                    with mock.patch.multiple(tokenizers, _N_WALK_WINDOWS=walk, **patches):
                         ids = tokenize(DnaSequence(bases), spec)
                     assert ids.dtype == np.int32 and ids.base is None
-                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, patches)
+                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, patches, walk)
                 if kind != "word" and small:  # spans of one or more windows on three threads, each span in blocks
-                    with mock.patch.multiple(tokenizers, _MIN_CHUNK=1, _VALUE_BLOCK=block):
-                        ids = kmer_tokenize_parallel(DnaSequence(bases), spec, 3)
-                    assert ids.tolist() == want, (n, layout, n_mode, sentinels, "threads")
+                    for walk in _N_WALKS:
+                        with mock.patch.multiple(tokenizers, _MIN_CHUNK=1, _VALUE_BLOCK=block, _N_WALK_WINDOWS=walk):
+                            ids = kmer_tokenize_parallel(DnaSequence(bases), spec, 3)
+                        assert ids.tolist() == want, (n, layout, n_mode, sentinels, "threads", walk)
 
 
     def test_digits_come_from_the_ascii_bits(self):
