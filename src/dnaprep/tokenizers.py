@@ -96,15 +96,14 @@ _CORRELATE_MAX = 2048
 # span the whole input.
 _VALUE_BLOCK = 1 << 16
 
-# An as_unk input's N runs are walked (_n_run_windows) until more than one
-# run per _N_WALK_WINDOWS windows read, past _N_WALK_SLACK windows, has
-# been found; the windows past that point are flagged as a whole. On a
-# 2-vCPU host, 6-mers on 3 Mbp records: a walked run cost 0.74-0.87 us
+# An as_unk input's N runs are walked (_n_run_windows) up to a run that
+# starts where the runs before it come to more than one per
+# _N_WALK_WINDOWS windows read; the windows from there on are flagged as
+# a whole. On a 2-vCPU host, 6-mers on 3 Mbp records: a walked run cost 0.74-0.87 us
 # and flagging 0.41-0.42 ns per base, so they meet at one run per
 # ~1,800-2,100 bases; one run on a 2,048-base input cost 1.7 us walked
 # against 7.8 us flagged.
 _N_WALK_WINDOWS = 1024
-_N_WALK_SLACK = 1024
 
 # Fewest windows worth a thread. On a 2-vCPU host, threads=2 ran at
 # 0.74-0.89x the serial encoder with 0.5 M-window chunks, 0.84-1.36x with
@@ -150,18 +149,24 @@ def _n_run_windows(raw: bytes, k: int, stride: int, m: int) -> tuple[list[tuple[
     """The windows of each N run in ``raw``, as slices of its ``m`` windows, and the first window left to the mask.
 
     A run of bases s .. e - 1 touches windows (s - k) // stride + 1 ..
-    ceil(e / stride) - 1, clipped to the m windows. The walk gives up at the first
-    run that makes more than one per ``_N_WALK_WINDOWS`` windows read, past
-    ``_N_WALK_SLACK`` windows: the slices found so far are returned with
-    that run's first window, from which the caller flags N windows with
-    :func:`_n_flags`. A walk that sees every run returns ``m``.
+    ceil(e / stride) - 1, clipped to the m windows. The walk gives up at a
+    run that starts where the runs before it come to more than one per
+    ``_N_WALK_WINDOWS`` windows read (so never at the first run): the
+    slices found so far are returned with that run's first window, from
+    which the caller flags N windows with :func:`_n_flags`. A walk that
+    sees every run returns ``m``. A lone first N and a second run inside
+    the first ``_N_WALK_WINDOWS`` windows, as in a short input with
+    scattered N, give up before the walk starts: every window is flagged.
     """
+    lone = raw.find(_N_BYTE) + 1
+    if lone < raw.find(_N_BYTE, lone) < _N_WALK_WINDOWS * stride:
+        return [], 0
     runs: list[tuple[int, int]] = []
     for start, stop in _n_runs(raw):
         first = (start - k) // stride + 1
         if first < 0:
             first = 0
-        if (len(runs) + 1) * _N_WALK_WINDOWS > start // stride + _N_WALK_SLACK:
+        if len(runs) * _N_WALK_WINDOWS > start // stride:
             return runs, first
         last = -(-stop // stride)
         runs.append((first, last if last < m else m))
@@ -287,39 +292,40 @@ def _span_ids(
     return kept - first
 
 
-def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, threads: int = 1, whole: bool = True) -> np.ndarray:
-    """The spec's ids for ``bases`` at ``stride``: the one step that picks the k-mer and word encoders' path.
+def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, threads: int = 1) -> np.ndarray:
+    """The spec's ids for ``bases`` at ``stride``, between [CLS] and [SEP] if ``sentinels``: the one path-picking step.
 
-    seg_n mode splits ``bases`` at N and sends each N-free stretch back
-    through this step as a part (``whole`` false): no sentinels, no split.
-    An input of k to ``_CORRELATE_MAX`` bases at stride 1, on one span,
-    takes :func:`_correlated_ids`; any other takes :func:`_window_ids`.
+    seg_n mode splits an input that holds an N at its N runs and sends
+    each N-free stretch back through this step without sentinels. Any
+    other input is cut into ``threads`` equal spans of windows, or fewer
+    when they hold fewer whole runs of ``_MIN_CHUNK`` windows. An input
+    of one span, at least one window and at most ``_CORRELATE_MAX`` bases
+    at stride 1 takes :func:`_correlated_ids`; any other takes
+    :func:`_window_ids`.
     """
-    if whole and spec.n_mode == N_MODE_SEG:
-        return _split_at_n(bases, spec, partial(_fixed_width_ids, spec=spec, stride=stride, whole=False))
-    k = spec.vocab.k
-    if stride == 1 and k <= len(bases) <= _CORRELATE_MAX and (threads == 1 or len(bases) - k < 2 * _MIN_CHUNK - 1):
-        return _correlated_ids(bases.encode("ascii"), spec, whole and spec.add_sentinels)
-    return _window_ids(bases, spec, stride, whole and spec.add_sentinels, threads)
+    if spec.n_mode == N_MODE_SEG and N_CHAR in bases:
+        return _split_at_n(bases, spec, lambda run: _fixed_width_ids(run, spec, stride, sentinels=False))
+    m = (len(bases) - spec.vocab.k) // stride + 1  # windows, where positive
+    # no max() or min() on a one-thread call: with them a 447-base 6-mer call took 5.48 us against 5.14
+    n_spans = 1 if threads == 1 else min(threads, m // _MIN_CHUNK)
+    if stride == 1 and n_spans < 2 and 0 < m and len(bases) <= _CORRELATE_MAX:
+        return _correlated_ids(bases.encode("ascii"), spec, sentinels)
+    return _window_ids(bases, spec, stride, sentinels, max(m, 0), n_spans)
 
 
-def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, threads: int = 1) -> np.ndarray:
-    """The block kernel's ids for ``bases`` in as_unk or drop mode, between [CLS] and [SEP] if ``sentinels``.
+def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, m: int, n_spans: int) -> np.ndarray:
+    """The block kernel's ids of the ``m`` windows on ``n_spans`` spans, between [CLS] and [SEP] if ``sentinels``.
 
-    The windows are cut into ``threads`` equal spans, or fewer when they
-    hold fewer whole runs of ``_MIN_CHUNK`` windows. Ids are written
-    straight into the returned array, between the slots kept for [CLS]
-    and [SEP]: one span on the calling thread, several on a thread pool,
-    each filling its own slice of the array, and in drop mode each span's
-    kept ids are then moved down next to the previous span's. Drop mode
-    finally shrinks the array to the kept ids. An as_unk input's N runs
-    are walked first, and [UNK] written over their windows once every
-    span is done; the blocks past the point where the walk gave up, and
-    every block of a drop input that holds an N, flag their N windows.
+    Ids are written straight into the returned array, between the slots
+    kept for [CLS] and [SEP]: one span on the calling thread, several on a
+    thread pool, each filling its own slice of the array, and in drop mode
+    each span's kept ids are then moved down next to the previous span's.
+    Drop mode finally shrinks the array to the kept ids. An as_unk input's
+    N runs are walked first, and [UNK] written over their windows once
+    every span is done; the blocks past the point where the walk gave up,
+    and every block of a drop input that holds an N, flag their N windows.
     """
     vocab = spec.vocab
-    m = max(0, (len(bases) - vocab.k) // stride + 1)
-    n_spans = min(threads, m // _MIN_CHUNK)
     encoded = bases.encode("ascii")
     raw = np.frombuffer(encoded, dtype=np.uint8)
     runs: list[tuple[int, int]] = []
@@ -363,7 +369,7 @@ def kmer_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
     """
     if spec.vocab.kind != KMER:
         raise ConfigError(f"kmer_tokenize requires a kmer vocabulary, got {spec.vocab.kind}")
-    return _fixed_width_ids(seq.bases, spec, stride=1)
+    return _fixed_width_ids(seq.bases, spec, 1, spec.add_sentinels)
 
 
 def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) -> np.ndarray:
@@ -374,21 +380,22 @@ def kmer_tokenize_parallel(seq: DnaSequence, spec: TokenizerSpec, threads: int) 
     ``_MIN_CHUNK`` windows; each span is encoded on its own thread into
     its own slice of the one output array, so the ids are held once. A
     sequence too short for two spans runs on the calling thread, and so
-    does seg_n mode (segmentation is not window-local).
+    does a sequence that holds an N in seg_n mode (segmentation is not
+    window-local).
     """
     if spec.vocab.kind != KMER:
         raise ConfigError("parallel encoding is only defined for the kmer tokenizer")
     threads = as_int(threads, "threads")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    return _fixed_width_ids(seq.bases, spec, stride=1, threads=threads)
+    return _fixed_width_ids(seq.bases, spec, 1, spec.add_sentinels, threads)
 
 
 def word_tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:
     """Non-overlapping k-mer encoding: stride k, sub-k remainder dropped."""
     if spec.vocab.kind != WORD:
         raise ConfigError(f"word_tokenize requires a word vocabulary, got {spec.vocab.kind}")
-    return _fixed_width_ids(seq.bases, spec, stride=spec.vocab.k)
+    return _fixed_width_ids(seq.bases, spec, spec.vocab.k, spec.add_sentinels)
 
 
 def tokenize(seq: DnaSequence, spec: TokenizerSpec) -> np.ndarray:

@@ -475,6 +475,7 @@ class TestParallel:
         st.sampled_from(["kmer", "culled"]),
     )
     @example("ACGTNACGTACGTACGTACGTTTTGGGAAACCCNACGTA", 3, 5, 2, "drop", True, "culled")
+    @example("ACGTTGCAACCGGTTA" * 3, 3, 2, 7, "seg_n", True, "kmer")  # N-free seg_n input: threaded spans
     @settings(max_examples=80, deadline=None)
     def test_matches_serial(self, bases, threads, min_chunk, block, n_mode, sentinels, kind):
         # a few-window minimum chunk lets these short inputs split, and a
@@ -728,17 +729,17 @@ def identity_ids(vocab, bases, stride, n_mode, sentinels):
 
 
 def window_ids(bases, k, stride):
-    """``_window_ids`` in as_unk mode through ``identity_vocab`` and the want list.
+    """``_fixed_width_ids`` in as_unk mode through ``identity_vocab`` and the want list.
 
     The ids are the kernel's values with [UNK] at the N windows.
     """
     vocab = identity_vocab("kmer" if stride == 1 else "word", k)
-    ids = tokenizers._window_ids(bases, TokenizerSpec(vocab), stride, sentinels=False)
+    ids = tokenizers._fixed_width_ids(bases, TokenizerSpec(vocab), stride, sentinels=False)
     return ids, identity_ids(vocab, bases, stride, "as_unk", sentinels=False)
 
 
 # _N_WALK_WINDOWS as shipped, patched so that the N walk never gives up, and patched so that it gives
-# up at the first run (every input with an N flags its windows with _n_flags)
+# up at the second run (every input with two or more runs flags its windows with _n_flags)
 _N_WALKS = [tokenizers._N_WALK_WINDOWS, 0, 1 << 40]
 
 
@@ -794,7 +795,7 @@ class TestWindowKernels:
                     (dense.bases, True, True),
                 ]:
                     seq = DnaSequence(bases)
-                    with mock.patch.object(tokenizers, "_n_runs", wraps=tokenizers._n_runs) as runs:
+                    with mock.patch.object(tokenizers, "_n_run_windows", wraps=tokenizers._n_run_windows) as runs:
                         with mock.patch.object(tokenizers, "_n_flags", wraps=tokenizers._n_flags) as flagged:
                             ids = tokenize(seq, spec)
                     assert (runs.called, flagged.called) == (walks, flags), (len(bases), correlate_max)
@@ -811,7 +812,7 @@ class TestWindowKernels:
         below, at and above k and on both sides of each size crossover,
         through each path that a crossover picks, patched both ways: one
         correlate or blocks, one block or several, one span or threads,
-        and the N walk as shipped, never giving up or giving up at once."""
+        and the N walk as shipped, never giving up or giving up at the second run."""
         vocab = oracle_vocab(kind, k) if kind == "culled" else identity_vocab(kind, k)
         stride = k if kind == "word" else 1
         block = _CRAFTED_BLOCK  # windows per block when patched: inputs of block - 1 .. block + 1 windows below
