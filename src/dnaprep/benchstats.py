@@ -414,22 +414,11 @@ class CriteriaReport:
 
     def to_table(self) -> str:
         name_width = max([7] + [len(d) for d in self.rows])
-        headers = ["dataset", "sigma", "stability", "benefit", "slope", "r2", "scaling", "selected"]
-        lines = [
-            f"{headers[0]:>{name_width}}  " + "  ".join(f"{h:>9}" for h in headers[1:])
-        ]
+        columns = ["sigma", "stability", "benefit", "slope", "r2", "scaling", "selected"]  # the rows' keys
+        lines = [f"{'dataset':>{name_width}}  " + "  ".join(f"{c:>9}" for c in columns)]
         for dataset in sorted(self.rows):
             row = self.rows[dataset]
-            cells = [
-                _fmt(row.get("sigma")),
-                _fmt(row.get("stability")),
-                _fmt(row.get("benefit")),
-                _fmt(row.get("slope")),
-                _fmt(row.get("r2")),
-                _fmt(row.get("scaling")),
-                _fmt(row.get("selected")),
-            ]
-            lines.append(f"{dataset:>{name_width}}  " + "  ".join(f"{c:>9}" for c in cells))
+            lines.append(f"{dataset:>{name_width}}  " + "  ".join(f"{_fmt(row.get(c)):>9}" for c in columns))
         return "\n".join(lines)
 
 

@@ -96,10 +96,10 @@ _CORRELATE_MAX = 2048
 # span the whole input.
 _VALUE_BLOCK = 1 << 16
 
-# An as_unk input's N runs are walked (_n_run_windows) up to a run that
+# An as_unk input's N runs are walked (_n_run_windows) unless a run
 # starts where the runs before it come to more than one per
-# _N_WALK_WINDOWS windows read; the windows from there on are flagged as
-# a whole. On a 2-vCPU host, 6-mers on 3 Mbp records: a walked run cost 0.74-0.87 us
+# _N_WALK_WINDOWS windows read; then every N window of the input is
+# flagged. On a 2-vCPU host, 6-mers on 3 Mbp records: a walked run cost 0.74-0.87 us
 # and flagging 0.41-0.42 ns per base, so they meet at one run per
 # ~1,800-2,100 bases; one run on a 2,048-base input cost 1.7 us walked
 # against 7.8 us flagged.
@@ -145,32 +145,29 @@ def _n_runs(raw: bytes) -> Iterator[tuple[int, int]]:
         start = raw.find(_N_BYTE, stop)
 
 
-def _n_run_windows(raw: bytes, k: int, stride: int, m: int) -> tuple[list[tuple[int, int]], int]:
-    """The windows of each N run in ``raw``, as slices of its ``m`` windows, and the first window left to the mask.
+def _n_run_windows(raw: bytes, k: int, stride: int, m: int) -> list[slice] | None:
+    """The windows of each N run in ``raw``, as slices of its ``m`` windows, or None where the runs are too dense.
 
     A run of bases s .. e - 1 touches windows (s - k) // stride + 1 ..
     ceil(e / stride) - 1, clipped to the m windows. The walk gives up at a
     run that starts where the runs before it come to more than one per
-    ``_N_WALK_WINDOWS`` windows read (so never at the first run): the
-    slices found so far are returned with that run's first window, from
-    which the caller flags N windows with :func:`_n_flags`. A walk that
-    sees every run returns ``m``. A lone first N and a second run inside
-    the first ``_N_WALK_WINDOWS`` windows, as in a short input with
-    scattered N, give up before the walk starts: every window is flagged.
+    ``_N_WALK_WINDOWS`` windows read (so never at the first run), and so
+    does a lone first N with a second run inside the first
+    ``_N_WALK_WINDOWS`` windows, as in a short input with scattered N,
+    before the walk starts: the caller then flags every N window with
+    :func:`_n_flags`.
     """
     lone = raw.find(_N_BYTE) + 1
     if lone < raw.find(_N_BYTE, lone) < _N_WALK_WINDOWS * stride:
-        return [], 0
-    runs: list[tuple[int, int]] = []
+        return None
+    runs = []
     for start, stop in _n_runs(raw):
-        first = (start - k) // stride + 1
-        if first < 0:
-            first = 0
         if len(runs) * _N_WALK_WINDOWS > start // stride:
-            return runs, first
+            return None
+        first = (start - k) // stride + 1
         last = -(-stop // stride)
-        runs.append((first, last if last < m else m))
-    return runs, m
+        runs.append(slice(first if first > 0 else 0, last if last < m else m))
+    return runs
 
 
 def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndarray:
@@ -191,8 +188,8 @@ def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndar
     if lut is not None:
         ids = lut.take(ids)
     if _N_BYTE in raw:
-        runs, mask_from = _n_run_windows(raw, k, 1, ids.size) if spec.n_mode == N_MODE_AS_UNK else ([], 0)
-        if mask_from < ids.size:
+        runs = _n_run_windows(raw, k, 1, ids.size) if spec.n_mode == N_MODE_AS_UNK else None
+        if runs is None:
             has_n = _n_flags(np.frombuffer(raw, dtype=np.uint8) == _N_BYTE, k, 1, ids.size)
             if spec.n_mode == N_MODE_DROP:
                 if sentinels:
@@ -201,8 +198,8 @@ def _correlated_ids(raw: bytes, spec: TokenizerSpec, sentinels: bool) -> np.ndar
             else:
                 ids[has_n] = vocab.unk_id
         else:
-            for first, last in runs:
-                ids[first:last].fill(vocab.unk_id)
+            for run in runs:
+                ids[run].fill(vocab.unk_id)
     if sentinels:
         ids[0], ids[-1] = vocab.special_id("CLS"), vocab.special_id("SEP")
     return ids
@@ -254,14 +251,14 @@ def _kmer_values(raw: np.ndarray, k: int, stride: int, out: np.ndarray) -> None:
 
 
 def _span_ids(
-    raw: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, mask_from: int, first: int, last: int
+    raw: np.ndarray, core: np.ndarray, spec: TokenizerSpec, stride: int, flag_n: bool, first: int, last: int
 ) -> int:
     """Write the ids of windows ``first`` .. ``last - 1`` to ``core`` from ``core[first]`` on; returns how many.
 
     A block of ``_VALUE_BLOCK`` windows is built at a time, so that only
-    ``core`` spans the whole input. A block that reaches past window
-    ``mask_from`` flags its N windows: as_unk writes [UNK] over them, and
-    drop compacts the block's kept windows in place, down to the span's
+    ``core`` spans the whole input. With ``flag_n``, a block that holds an
+    N flags its N windows: as_unk writes [UNK] over them, and drop
+    compacts the block's kept windows in place, down to the span's
     previous kept id.
     """
     vocab = spec.vocab
@@ -276,7 +273,7 @@ def _span_ids(
         if lut is not None:
             lut.take(vals, out=vals)
         has_n = None
-        if stop > mask_from:
+        if flag_n:
             is_n = part == _N_BYTE
             if is_n.any():
                 has_n = _n_flags(is_n, k, stride, vals.size)
@@ -297,62 +294,50 @@ def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bo
 
     seg_n mode splits an input that holds an N at its N runs and sends
     each N-free stretch back through this step without sentinels. Any
-    other input is cut into ``threads`` equal spans of windows, or fewer
-    when they hold fewer whole runs of ``_MIN_CHUNK`` windows. An input
-    of one span, at least one window and at most ``_CORRELATE_MAX`` bases
-    at stride 1 takes :func:`_correlated_ids`; any other takes
-    :func:`_window_ids`.
+    other input's windows are cut into ``threads`` equal spans, or fewer
+    when they hold fewer whole runs of ``_MIN_CHUNK`` windows. An input of
+    one span, at least one window and at most ``_CORRELATE_MAX`` bases at
+    stride 1 takes :func:`_correlated_ids`. Any other is written by the
+    block kernel, :func:`_span_ids`, straight into the returned array
+    between the slots kept for [CLS] and [SEP], each span into its own
+    slice, on a thread pool where there are several; drop mode moves each
+    span's kept ids down next to the previous span's, then shrinks the
+    array to them. An as_unk input's N runs are walked first, and [UNK]
+    written over their windows once every span is done; where the walk
+    gives up, and in drop mode, the blocks flag their N windows instead.
     """
     if spec.n_mode == N_MODE_SEG and N_CHAR in bases:
         return _split_at_n(bases, spec, lambda run: _fixed_width_ids(run, spec, stride, sentinels=False))
-    m = (len(bases) - spec.vocab.k) // stride + 1  # windows, where positive
+    vocab = spec.vocab
+    m = (len(bases) - vocab.k) // stride + 1  # windows, where positive
     # no max() or min() on a one-thread call: with them a 447-base 6-mer call took 5.48 us against 5.14
     n_spans = 1 if threads == 1 else min(threads, m // _MIN_CHUNK)
-    if stride == 1 and n_spans < 2 and 0 < m and len(bases) <= _CORRELATE_MAX:
-        return _correlated_ids(bases.encode("ascii"), spec, sentinels)
-    return _window_ids(bases, spec, stride, sentinels, max(m, 0), n_spans)
-
-
-def _window_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bool, m: int, n_spans: int) -> np.ndarray:
-    """The block kernel's ids of the ``m`` windows on ``n_spans`` spans, between [CLS] and [SEP] if ``sentinels``.
-
-    Ids are written straight into the returned array, between the slots
-    kept for [CLS] and [SEP]: one span on the calling thread, several on a
-    thread pool, each filling its own slice of the array, and in drop mode
-    each span's kept ids are then moved down next to the previous span's.
-    Drop mode finally shrinks the array to the kept ids. An as_unk input's
-    N runs are walked first, and [UNK] written over their windows once
-    every span is done; the blocks past the point where the walk gave up,
-    and every block of a drop input that holds an N, flag their N windows.
-    """
-    vocab = spec.vocab
     encoded = bases.encode("ascii")
+    if stride == 1 and n_spans < 2 and 0 < m and len(bases) <= _CORRELATE_MAX:
+        return _correlated_ids(encoded, spec, sentinels)
+    m = max(m, 0)
+    holds_n = _N_BYTE in encoded
+    runs = _n_run_windows(encoded, vocab.k, stride, m) if holds_n and spec.n_mode == N_MODE_AS_UNK else None
+    flag_n = holds_n and runs is None
     raw = np.frombuffer(encoded, dtype=np.uint8)
-    runs: list[tuple[int, int]] = []
-    mask_from = m
-    if _N_BYTE in encoded:
-        if spec.n_mode == N_MODE_DROP:
-            mask_from = 0
-        else:
-            runs, mask_from = _n_run_windows(encoded, vocab.k, stride, m)
     pad = int(sentinels)
     out = np.empty(m + 2 * pad, dtype=np.int32)
     core = out[pad : pad + m]
     if n_spans < 2:
-        kept = _span_ids(raw, core, spec, stride, mask_from, 0, m)
+        kept = _span_ids(raw, core, spec, stride, flag_n, 0, m)
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, so that serial callers never load it
 
         bounds = [m * i // n_spans for i in range(n_spans + 1)]
         with ThreadPoolExecutor(max_workers=n_spans) as pool:
-            counts = list(pool.map(partial(_span_ids, raw, core, spec, stride, mask_from), bounds[:-1], bounds[1:]))
+            counts = list(pool.map(partial(_span_ids, raw, core, spec, stride, flag_n), bounds[:-1], bounds[1:]))
         kept = 0
         for first, count in zip(bounds, counts):
             if first != kept:  # a self-copy of a 3 Mbp record's ids would cost milliseconds
                 core[kept : kept + count] = core[first : first + count]  # memmove-like: no temporary
             kept += count
-    for first, last in runs:  # as_unk only: nothing was dropped
-        core[first:last].fill(vocab.unk_id)
+    for run in runs or ():  # as_unk only: nothing was dropped
+        core[run].fill(vocab.unk_id)
     if pad:
         out[0], out[pad + kept] = vocab.special_id("CLS"), vocab.special_id("SEP")
     if kept < m:
@@ -587,7 +572,7 @@ def bpe_train(corpus: Iterable[DnaSequence], target_size: int) -> Vocabulary:
     boundary. If the corpus runs out of adjacent pairs first, the
     vocabulary is returned at the achieved size with a warning.
     """
-    return bpe_train_sizes(corpus, [target_size])[target_size]
+    return _train_sizes(corpus, [target_size])[target_size]
 
 
 def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict[int, Vocabulary]:
@@ -599,6 +584,11 @@ def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict
     the corpus runs out of adjacent pairs first, each size not reached
     gets the vocabulary at the achieved size, with a warning.
     """
+    return _train_sizes(corpus, sizes)
+
+
+def _train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict[int, Vocabulary]:
+    """:func:`bpe_train_sizes`, called by it and by :func:`bpe_train`: the warning names their caller's line."""
     wanted = sorted({as_int(size, "target_size") for size in sizes})
     if not wanted:
         raise ConfigError("no sizes requested")
@@ -617,7 +607,7 @@ def bpe_train_sizes(corpus: Iterable[DnaSequence], sizes: Iterable[int]) -> dict
             warnings.warn(
                 f"corpus exhausted after {len(merges)} merges; "
                 f"vocabulary truncated at {size} non-special tokens",
-                stacklevel=2,
+                stacklevel=3,
             )
             return snaps | dict.fromkeys(wanted[len(snaps) :], bpe_vocab_from_merges(merges))
         snaps[want] = bpe_vocab_from_merges(merges)

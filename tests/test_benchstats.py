@@ -310,6 +310,16 @@ class TestCriteriaReport:
         assert "datasets" in report.to_json()
         assert "dataset" in report.to_table()
 
+    def test_table_text(self):
+        """One whole table, with pass, FAIL, float and missing cells and a name wider than the header."""
+        scaling = [ScalingRecord(d, 10.0**x, 60 + x) for d in ("good", "unstable") for x in (1, 2, 3)]
+        assert criteria_report(self.make_runs(), scaling).to_table() == (
+            " dataset      sigma  stability    benefit      slope         r2    scaling   selected\n"
+            "    good      0.011       pass       pass      1.000      1.000       pass       pass\n"
+            "unstable      9.456       FAIL       pass      1.000      1.000       pass       FAIL\n"
+            "    weak      0.054       pass       FAIL          -          -          -       FAIL"
+        )
+
     def test_override_without_a_fit_writes_strict_json(self):
         """Two datasets leave no fit; the override still decides, and the fit fields are null."""
         runs = [rec for rec in self.make_runs() if rec.dataset_id != "weak"]

@@ -306,6 +306,15 @@ class TestBpeTrain:
             vocab = bpe_train([DnaSequence("AT")], 10)
         assert vocab.n_nonspecial == 5  # A C G T AT
 
+    def test_exhaustion_warning_names_the_caller(self):
+        """Both training entry points warn at their caller's line, not inside dnaprep."""
+        with pytest.warns(UserWarning, match="exhausted") as caught:
+            bpe_train([DnaSequence("AT")], 10)
+        assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(UserWarning, match="exhausted") as caught:
+            bpe_train_sizes([DnaSequence("AT")], [5, 10])
+        assert [w.filename for w in caught] == [__file__]
+
     def test_deterministic_across_trainings(self):
         corpus = "ACGTTGCATTACGGATACGT" * 50
         a = bpe_train([DnaSequence(corpus)], 24)
@@ -683,6 +692,7 @@ _N_LAYOUTS = [
     "runs_within_k",
     "run_across_block_edge",
     "run_longer_than_block",
+    "sparse_then_dense",
 ]
 _CRAFTED_BLOCK = 3  # windows per block where a test patches _VALUE_BLOCK to a few windows
 
@@ -718,6 +728,9 @@ def _crafted_bases(n, k, layout, stride=1):
         codes[edge - 1 : edge + 1] = 4
     elif layout == "run_longer_than_block":
         codes[edge - 1 : edge + 2 * edge + k] = 4
+    elif layout == "sparse_then_dense":  # a walked run of two Ns, then a single N every 4 bases over the last third
+        codes[n // 6 : n // 6 + 2] = 4
+        codes[n - n // 3 :: 4] = 4
     return "".join("ACGTN"[c] for c in codes)
 
 
