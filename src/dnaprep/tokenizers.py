@@ -307,7 +307,9 @@ def _fixed_width_ids(bases: str, spec: TokenizerSpec, stride: int, sentinels: bo
     gives up, and in drop mode, the blocks flag their N windows instead.
     """
     if spec.n_mode == N_MODE_SEG and N_CHAR in bases:
-        return _split_at_n(bases, spec, lambda run: _fixed_width_ids(run, spec, stride, sentinels=False))
+        # a partial, not a lambda: a closure over spec and stride makes two cells on every call, which cost
+        # about 2% of a 512-base 6-mer call on a 2-vCPU host (6.76 against 6.62 us)
+        return _split_at_n(bases, spec, partial(_fixed_width_ids, spec=spec, stride=stride, sentinels=False))
     vocab = spec.vocab
     m = (len(bases) - vocab.k) // stride + 1  # windows, where positive
     # no max() or min() on a one-thread call: with them a 447-base 6-mer call took 5.48 us against 5.14
